@@ -64,7 +64,9 @@ class FastABOD(Detector):
     """
 
     name = "fast_abod"
-    uses_precomputed_distances = True
+    # Only the neighbour *indices* feed the angle computation, so the
+    # substrate's k-NN query serves it without a full distance matrix.
+    uses_knn_queries = True
 
     def __init__(self, k: int = 10) -> None:
         self.k = check_positive_int(k, name="k", minimum=2)
@@ -82,15 +84,12 @@ class FastABOD(Detector):
             neigh_idx, _ = KNNIndex(X).kneighbors(k)
         return self._abof_scores(X, neigh_idx, k)
 
-    def _score_with_distances(
-        self, X: np.ndarray, sq_distances: np.ndarray
-    ) -> np.ndarray:
+    def _score_with_knn(self, X: np.ndarray, knn) -> np.ndarray:
         n = X.shape[0]
         k = min(self.k, n - 1)
         if k < 2:
             return np.zeros(n)
-        index = KNNIndex(X, masked_sq_distances=sq_distances)
-        neigh_idx, _ = index.kneighbors(k)
+        neigh_idx, _ = knn.kneighbors(k)
         return self._abof_scores(X, neigh_idx, k)
 
     @staticmethod

@@ -47,18 +47,11 @@ class Detector(ABC):
 
     name: ClassVar[str] = "detector"
 
-    #: Whether :meth:`score` can consume a precomputed squared-distance
-    #: matrix (diagonal ``+inf``) instead of rebuilding distances from
-    #: ``X``. Neighbourhood-based detectors (LOF, Fast ABOD, k-NN) opt in;
-    #: the subspace scorer only attaches a distance provider when this is
-    #: set.
-    uses_precomputed_distances: ClassVar[bool] = False
-
     #: Whether :meth:`score` can work from a k-nearest-neighbour *query*
-    #: alone (LOF, k-NN) rather than a full distance matrix. Detectors
-    #: that opt in receive the distance substrate's certified-sketch
-    #: query view, which answers exact k-NN without composing the
-    #: subspace's full matrix (see
+    #: alone rather than from ``X``. Neighbourhood-based detectors (LOF,
+    #: Fast ABOD, k-NN) opt in; the subspace scorer only attaches a
+    #: distance provider when this is set, and hands each evaluation the
+    #: substrate's query view, which answers exact canonical k-NN (see
     #: :meth:`repro.neighbors.DistanceProvider.kneighbors`).
     uses_knn_queries: ClassVar[bool] = False
 
@@ -66,7 +59,6 @@ class Detector(ABC):
         self,
         X: np.ndarray,
         *,
-        sq_distances: np.ndarray | None = None,
         knn: "object | None" = None,
     ) -> np.ndarray:
         """Outlyingness score for every row of ``X`` (higher = more outlying).
@@ -75,20 +67,14 @@ class Detector(ABC):
         ----------
         X:
             Data matrix of shape ``(n_samples, n_features)``.
-        sq_distances:
-            Optional precomputed squared pairwise distances of the rows of
-            ``X`` with the diagonal pre-masked to ``+inf`` (the layout
-            served by :class:`repro.neighbors.DistanceProvider`). Only
-            honoured when :attr:`uses_precomputed_distances` is true;
-            other detectors ignore it and score from ``X``.
         knn:
             Optional neighbour-query view with a
             ``kneighbors(k) -> (indices, distances)`` method returning the
             canonically ordered k nearest non-self neighbours of every
             row (the view served by
             :meth:`repro.neighbors.DistanceProvider.knn_view`). Only
-            honoured when :attr:`uses_knn_queries` is true; takes
-            precedence over ``sq_distances``.
+            honoured when :attr:`uses_knn_queries` is true; other
+            detectors ignore it and score from ``X``.
 
         Returns
         -------
@@ -104,8 +90,6 @@ class Detector(ABC):
         ):
             if knn is not None and self.uses_knn_queries:
                 scores = self._score_with_knn(X, knn)
-            elif sq_distances is not None and self.uses_precomputed_distances:
-                scores = self._score_with_distances(X, sq_distances)
             else:
                 scores = self._score_validated(X)
         return np.asarray(scores, dtype=np.float64)
@@ -113,17 +97,6 @@ class Detector(ABC):
     @abstractmethod
     def _score_validated(self, X: np.ndarray) -> np.ndarray:
         """Score a validated matrix; implemented by subclasses."""
-
-    def _score_with_distances(
-        self, X: np.ndarray, sq_distances: np.ndarray
-    ) -> np.ndarray:
-        """Score using precomputed squared distances (diagonal ``+inf``).
-
-        Overridden by detectors that set
-        :attr:`uses_precomputed_distances`; the default ignores the
-        distances and recomputes from ``X``.
-        """
-        return self._score_validated(X)
 
     def _score_with_knn(self, X: np.ndarray, knn: object) -> np.ndarray:
         """Score from a k-NN query view alone.

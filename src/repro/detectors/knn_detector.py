@@ -34,7 +34,6 @@ class KNNDetector(Detector):
     """
 
     name = "knn"
-    uses_precomputed_distances = True
     uses_knn_queries = True
 
     def __init__(self, k: int = 10, aggregation: str = "kth") -> None:
@@ -49,24 +48,11 @@ class KNNDetector(Detector):
         return {"k": self.k, "aggregation": self.aggregation}
 
     def _score_validated(self, X: np.ndarray) -> np.ndarray:
-        return self._aggregate(KNNIndex(X), X.shape[0])
-
-    def _score_with_distances(
-        self, X: np.ndarray, sq_distances: np.ndarray
-    ) -> np.ndarray:
-        index = KNNIndex(X, masked_sq_distances=sq_distances)
-        return self._aggregate(index, X.shape[0])
+        return self._score_with_knn(X, KNNIndex(X))
 
     def _score_with_knn(self, X: np.ndarray, knn) -> np.ndarray:
         k = min(self.k, X.shape[0] - 1)
         _, dist = knn.kneighbors(k)
-        if self.aggregation == "kth":
-            return dist[:, -1]
-        return dist.mean(axis=1)
-
-    def _aggregate(self, index: KNNIndex, n: int) -> np.ndarray:
-        k = min(self.k, n - 1)
-        _, dist = index.kneighbors(k)
         if self.aggregation == "kth":
             return dist[:, -1]
         return dist.mean(axis=1)

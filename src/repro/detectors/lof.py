@@ -43,7 +43,6 @@ class LOF(Detector):
     """
 
     name = "lof"
-    uses_precomputed_distances = True
     uses_knn_queries = True
 
     def __init__(self, k: int = 15) -> None:
@@ -57,24 +56,11 @@ class LOF(Detector):
         k = min(self.k, n - 1)
         with obs_span("detector.lof.knn", n_samples=n, k=k):
             index = KNNIndex(X)
-        return self._lof_from_index(index, k)
-
-    def _score_with_distances(
-        self, X: np.ndarray, sq_distances: np.ndarray
-    ) -> np.ndarray:
-        k = min(self.k, X.shape[0] - 1)
-        index = KNNIndex(X, masked_sq_distances=sq_distances)
-        return self._lof_from_index(index, k)
+        return self._lof_math(*index.kneighbors(k))
 
     def _score_with_knn(self, X: np.ndarray, knn) -> np.ndarray:
         k = min(self.k, X.shape[0] - 1)
-        neigh_idx, neigh_dist = knn.kneighbors(k)
-        return self._lof_math(neigh_idx, neigh_dist)
-
-    @staticmethod
-    def _lof_from_index(index: KNNIndex, k: int) -> np.ndarray:
-        neigh_idx, neigh_dist = index.kneighbors(k)
-        return LOF._lof_math(neigh_idx, neigh_dist)
+        return self._lof_math(*knn.kneighbors(k))
 
     @staticmethod
     def _lof_math(neigh_idx: np.ndarray, neigh_dist: np.ndarray) -> np.ndarray:

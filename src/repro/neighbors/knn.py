@@ -4,6 +4,12 @@
 neighbour queries by partial sorting; :func:`kneighbors` is the one-shot
 functional form. Self-neighbours are always excluded, matching the
 convention of LOF and Fast ABOD where a point is never its own neighbour.
+
+Two selection routines back every neighbour list in the package:
+:func:`_smallest_k` (``argpartition``, any float dtype) and
+:func:`_packed_smallest_k`, a faster packed-key selection for the
+distance substrate's float32 squared-distance matrices that returns the
+same bits.
 """
 
 from __future__ import annotations
@@ -25,14 +31,6 @@ class KNNIndex:
     X:
         Reference points, shape ``(n, d)``. ``n`` must be at least 2 so that
         every point has at least one non-self neighbour.
-    masked_sq_distances:
-        Optional precomputed *squared* pairwise distances with the diagonal
-        already set to ``+inf`` (the layout served by
-        :class:`~repro.neighbors.provider.DistanceProvider`). When given,
-        the index skips the ``O(n^2 d)`` distance build entirely: neighbour
-        selection runs on squared distances (``sqrt`` is monotone, so the
-        ordering is the same) and only the ``(n, k)`` selected values are
-        square-rooted, never the full matrix.
 
     Notes
     -----
@@ -40,35 +38,12 @@ class KNNIndex:
     so results are deterministic.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        *,
-        masked_sq_distances: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, X: np.ndarray) -> None:
         self.X = check_matrix(X, name="X", min_rows=2)
-        self._dist: np.ndarray | None = None
-        self._masked: np.ndarray | None = None
-        self._masked_sq: np.ndarray | None = None
-        if masked_sq_distances is not None:
-            # Keep the provider's dtype (float32): upcasting here would add
-            # a full-matrix copy and double the bandwidth of every
-            # argpartition pass downstream.
-            sq = np.asarray(masked_sq_distances)
-            if sq.dtype not in (np.float32, np.float64):
-                sq = sq.astype(np.float64)
-            n = self.X.shape[0]
-            if sq.shape != (n, n):
-                raise ValidationError(
-                    f"masked_sq_distances must have shape ({n}, {n}), "
-                    f"got {sq.shape}"
-                )
-            self._masked_sq = sq
-        else:
-            self._dist = euclidean_pdist_matrix(self.X)
-            # A point must not be its own neighbour: mask the diagonal.
-            self._masked = self._dist.copy()
-            np.fill_diagonal(self._masked, np.inf)
+        self._dist = euclidean_pdist_matrix(self.X)
+        # A point must not be its own neighbour: mask the diagonal.
+        self._masked = self._dist.copy()
+        np.fill_diagonal(self._masked, np.inf)
 
     @property
     def n_samples(self) -> int:
@@ -77,16 +52,7 @@ class KNNIndex:
 
     @property
     def distances(self) -> np.ndarray:
-        """The full pairwise distance matrix (diagonal zero).
-
-        In precomputed mode this materialises lazily (one sqrt pass) —
-        the hot paths never ask for it.
-        """
-        if self._dist is None:
-            assert self._masked_sq is not None
-            D = self._masked_sq.copy()
-            np.fill_diagonal(D, 0.0)
-            self._dist = np.sqrt(D, out=D)
+        """The full pairwise distance matrix (diagonal zero)."""
         return self._dist
 
     def kneighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,14 +65,8 @@ class KNNIndex:
             ``(j+1)``-th nearest neighbour, sorted ascending by distance.
         """
         k = self._check_k(k)
-        if self._masked_sq is not None:
-            order = _smallest_k(self._masked_sq, k)
-            sq = np.take_along_axis(self._masked_sq, order, axis=1)
-            dist = np.sqrt(sq, out=sq)
-        else:
-            assert self._masked is not None
-            order = _smallest_k(self._masked, k)
-            dist = np.take_along_axis(self._masked, order, axis=1)
+        order = _smallest_k(self._masked, k)
+        dist = np.take_along_axis(self._masked, order, axis=1)
         return order, dist
 
     def kth_distance(self, k: int) -> np.ndarray:
@@ -156,3 +116,65 @@ def _smallest_k(D: np.ndarray, k: int) -> np.ndarray:
     part_dist = np.take_along_axis(D, part, axis=1)
     inner = np.argsort(part_dist, axis=1, kind="stable")
     return np.take_along_axis(part, inner, axis=1)
+
+
+#: Bytes of packed keys selected per chunk of rows. One reused buffer this
+#: size stays cache-resident; packing a whole ``(n, n)`` matrix at once
+#: would fault in a fresh ``8 n^2``-byte array on every query.
+_PACK_CHUNK_BYTES = 1 << 19
+
+_SHIFT = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _packed_smallest_k(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest entries per row of a masked float32 distance matrix.
+
+    ``D`` must be float32 and non-negative (``+inf`` allowed — the
+    distance substrate's squared distances with their masked diagonal):
+    for such values the IEEE bit pattern, read as an unsigned integer,
+    orders exactly like the value. Each entry becomes the ``uint64`` key
+    ``(float32 bits << 32) | column``. Keys are unique, and their order
+    is ascending distance with ties broken by column index — the order
+    :func:`_smallest_k` returns. An in-place partition per row brings the
+    ``k + 1`` smallest keys to the front, a sort orders that head, and
+    the first ``k`` keys decode to the neighbour indices and their
+    squared distances.
+
+    Which of several candidates tied at the k-th boundary
+    :func:`_smallest_k` keeps is decided by ``argpartition``'s internals,
+    not by index order. A row whose k-th and ``(k+1)``-th keys share a
+    distance is therefore re-selected with :func:`_smallest_k` itself, so
+    every row is bit-identical to it.
+
+    Returns ``(indices, sq)``: an intp and a float32 array of shape
+    ``(n, k)``, ascending per row.
+    """
+    n, m = D.shape
+    idx = np.empty((n, k), dtype=np.intp)
+    sq = np.empty((n, k), dtype=np.float32)
+    tie = np.empty(n, dtype=bool)
+    bits = D.view(np.uint32)
+    sq_bits = sq.view(np.uint32)
+    columns = np.arange(m, dtype=np.uint64)
+    rows = max(1, _PACK_CHUNK_BYTES // (8 * m))
+    buf = np.empty((min(rows, n), m), dtype=np.uint64)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        keys = buf[: stop - start]
+        np.copyto(keys, bits[start:stop])
+        keys <<= _SHIFT
+        keys |= columns
+        keys.partition(k, axis=1)
+        head = keys[:, : k + 1]
+        head.sort(axis=1)
+        tie[start:stop] = (head[:, k - 1] >> _SHIFT) == (head[:, k] >> _SHIFT)
+        idx[start:stop] = head[:, :k] & _LOW32
+        sq_bits[start:stop] = head[:, :k] >> _SHIFT
+    bad = np.flatnonzero(tie)
+    if bad.size:
+        rows_bad = D[bad]
+        order = _smallest_k(rows_bad, k)
+        idx[bad] = order
+        sq[bad] = np.take_along_axis(rows_bad, order, axis=1)
+    return idx, sq

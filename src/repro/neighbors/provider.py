@@ -20,18 +20,28 @@ so almost all of that work is redundant across candidate subspaces.
   k-NN consumers need no masking copy; ``inf + 0`` keeps the diagonal
   masked through every incremental extension. Staying in float32 keeps
   each composed matrix at ``4 n^2`` bytes — half the cache pressure and
-  half the memory bandwidth of every downstream ``argpartition`` pass,
-  which dominates the k-NN cost at paper scale.
+  half the memory bandwidth of every downstream selection pass, which
+  dominates the k-NN cost at paper scale.
 * **Incremental parent reuse.** Stage-wise explainers grow a subspace by
   one feature; ``D^2(S ∪ {f}) = D^2(S) + D^2(f)`` when the cached parent
   is a sorted prefix of the child. More generally the provider walks the
   longest cached sorted prefix and only adds the missing blocks.
-* **LRU byte budget.** Blocks and composed matrices share one
+* **Transient k-NN composition.** Neighbourhood detectors never see a
+  matrix: they ask :meth:`DistanceProvider.kneighbors` for neighbour
+  lists. A full-path query composes its canonical chain into a transient
+  array (extending a cached composed prefix when one exists), selects
+  the neighbours with the packed-key sort of
+  :func:`~repro.neighbors.knn._packed_smallest_k`, and drops the matrix.
+  One-shot candidate matrices therefore never enter the cache; only
+  :meth:`~DistanceProvider.squared_distances` callers (sketch anchors,
+  the streaming detector's slid full-space matrix) cache composed
+  matrices.
+* **LRU byte budget.** Blocks, sketches and composed matrices share one
   byte-budgeted LRU cache (``REPRO_DIST_CACHE_MB``, default 256 MiB).
-  Blocks and prefix partial sums — the values every later composition
-  builds on — live at the warm end; leaf composed matrices are inserted
-  *cold* (first to be evicted), so a wave of one-shot candidate matrices
-  can never flush the substrate's working set.
+  Blocks and sketches — the values every later query builds on — live
+  at the warm end; matrices cached by
+  :meth:`~DistanceProvider.squared_distances` are inserted *cold* (first
+  to be evicted), so they can never flush the substrate's working set.
 
 Determinism
 -----------
@@ -59,11 +69,12 @@ import threading
 import weakref
 import zlib
 from collections.abc import Iterable
+from operator import itemgetter
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.neighbors.knn import _smallest_k
+from repro.neighbors.knn import _packed_smallest_k
 from repro.obs import metrics as obs_metrics
 from repro.utils.caching import LRUCache
 from repro.utils.validation import check_feature_indices, check_matrix
@@ -104,6 +115,12 @@ DEFAULT_MAX_COMPOSE_DIM = 8
 #: wider gathers; 12k certifies comfortably at paper scale (n≈1000,
 #: k=15) even for 1-feature parents.
 DEFAULT_SKETCH_FACTOR = 12
+
+#: A query is sketched only when its candidate width ``m`` is at most
+#: ``n / _SKETCH_MAX_FRACTION``: a wider gather costs more than composing
+#: and selecting over the full row (``benchmarks/bench_distance.py
+#: --knn`` records the crossover).
+_SKETCH_MAX_FRACTION = 8
 
 _BLOCKS = obs_metrics.gauge(
     "repro_dist_blocks",
@@ -258,8 +275,13 @@ class DistanceProvider:
 
     def _init_runtime(self) -> None:
         """(Re)build the unpicklable runtime state: cache and counters."""
+        # Keys are tagged by kind ("b" block, "c" composed, "k" sketch);
+        # the cache counts entries per kind as they come and go.
         self._cache: LRUCache[tuple, object] = LRUCache(
-            self.max_bytes, name="dist", on_evict=self._record_eviction
+            self.max_bytes,
+            name="dist",
+            on_evict=self._record_eviction,
+            kind=itemgetter(0),
         )
         # Contiguous float64 feature columns (n * 8 bytes each) backing the
         # sketch-query gathers; tiny, so they live outside the LRU budget.
@@ -416,65 +438,60 @@ class DistanceProvider:
             cached sorted prefix, which preserves canonical bits.
         """
         s = check_feature_indices(features, n_features=self.n_features)
-        key = ("c", s)
-        cached = self._cache.get(key)
+        out = self._lookup_composed(s)
+        if out is None:
+            hint: tuple[int, ...] | None = None
+            if parent is not None and len(s) > 1:
+                hint = check_feature_indices(parent, n_features=self.n_features)
+            out = self._compose(s, hint)
+            out.flags.writeable = False
+            # Insert cold: an explicitly requested matrix must never flush
+            # the blocks and sketches every later query builds on.
+            self._cache.put(("c", s), out, cold=True)
+            self._refresh_gauges()
+        return out
+
+    def _lookup_composed(self, s: tuple[int, ...]) -> np.ndarray | None:
+        """The cached composed matrix of ``s`` (counted as hit or miss)."""
+        cached = self._cache.get(("c", s))
         if cached is not None:
             self._count("composed_hits")
             _HITS.inc(kind="subspace")
             return cached
         self._count("composed_misses")
         _MISSES.inc(kind="subspace")
+        return None
 
-        base: np.ndarray | None = None
-        start = 0
-        if parent is not None and len(s) > 1:
-            p = check_feature_indices(parent, n_features=self.n_features)
-            if 0 < len(p) < len(s) and p == s[: len(p)]:
-                base = self._cache.get(("c", p))
-                if base is not None:
-                    start = len(p)
-        if base is None and len(s) > 1:
-            for length in range(len(s) - 1, 0, -1):
-                base = self._cache.get(("c", s[:length]))
-                if base is not None:
-                    start = length
-                    break
-        if base is not None:
-            self._count("parent_reuses")
-            _PARENT_REUSES.inc()
-            if start == len(s) - 1:
-                # Single extension (the stage-wise hot path): one ufunc
-                # pass, bitwise identical to copy-then-add.
+    def _compose(
+        self, s: tuple[int, ...], hint: tuple[int, ...] | None = None
+    ) -> np.ndarray:
+        """A fresh array holding the canonical chain of ``s``; caches nothing.
+
+        Extends a cached composed proper prefix of ``s`` when one exists
+        (the advisory ``hint`` first when it is a sorted prefix, then the
+        longest), otherwise starts from the first block with its ``+inf``
+        diagonal; then adds the missing blocks one float32 addition at a
+        time. Any cached prefix holds canonical bits, so the choice of
+        starting point changes cost only.
+        """
+        lengths: Iterable[int] = range(len(s) - 1, 0, -1)
+        if hint is not None and 0 < len(hint) < len(s) and hint == s[: len(hint)]:
+            lengths = (len(hint), *lengths)
+        for start in lengths:
+            base = self._cache.get(("c", s[:start]))
+            if base is not None:
+                self._count("parent_reuses")
+                _PARENT_REUSES.inc()
+                # One ufunc pass, bitwise identical to copy-then-add.
                 out = base + self.feature_block(s[start])
-                out.flags.writeable = False
-                self._cache.put(key, out, cold=True)
-                self._refresh_gauges()
-                return out
-            out = base.copy()
+                start += 1
+                break
         else:
-            first = self.feature_block(s[0])
-            out = first.copy()
+            out = self.feature_block(s[0]).copy()
             np.fill_diagonal(out, np.inf)
             start = 1
-        for idx in range(start, len(s)):
-            if idx >= 2 and idx > start:
-                # The accumulator holds the canonical partial sum of
-                # ``s[:idx]``: cache it warm. Stage waves visit candidates
-                # in lexicographic order, so upcoming siblings sharing the
-                # prefix extend it with one block addition instead of
-                # recomposing from scratch; prefixes are also the parents
-                # of the next stage's growth.
-                snapshot = out.copy()
-                snapshot.flags.writeable = False
-                self._cache.put(("c", s[:idx]), snapshot)
-            # One float32 add per block: the canonical chain, step by step.
-            out += self.feature_block(s[idx])
-        out.flags.writeable = False
-        # Leaf results rarely recur (the scorer memoises scores above us):
-        # insert them cold so they can never flush the blocks and prefixes
-        # every later composition builds on.
-        self._cache.put(key, out, cold=True)
-        self._refresh_gauges()
+        for feature in s[start:]:
+            out += self.feature_block(feature)
         return out
 
     # ------------------------------------------------------------------
@@ -608,7 +625,14 @@ class DistanceProvider:
         Same contract as :meth:`KNNIndex.kneighbors
         <repro.neighbors.KNNIndex.kneighbors>` run on this subspace's
         composed matrix — ascending distance, ties broken by index — and
-        **bit-identical** to it, but usually far cheaper: squared
+        **bit-identical** to it. The *full path* composes the canonical
+        chain into a transient array (a cached composed prefix, or the
+        matrix itself, is reused when present; nothing new is cached) and
+        selects with the packed-key sort of
+        :func:`~repro.neighbors.knn._packed_smallest_k`, whose rows tied at
+        the k-th boundary fall back to ``argpartition``.
+
+        Wide queries at large ``n`` take the *sketch path*: squared
         distances only grow as features are added, so the k nearest
         neighbours of a grown subspace must come from its parent's near
         neighbourhood. The provider keeps a *sketch* per parent (its
@@ -624,6 +648,12 @@ class DistanceProvider:
         rows — results never depend on the sketch, which is why cache
         state, hints, and eviction patterns cannot change a single bit.
 
+        A query is sketched only when its candidate width ``m`` satisfies
+        ``8 m <= n``: for wider sketches the gather of ``m`` columns and
+        the certification cost more than composing and selecting over the
+        whole row. The rule depends on ``n``, ``k`` and the anchor depth
+        alone, never on cache state.
+
         Parameters
         ----------
         features:
@@ -634,7 +664,8 @@ class DistanceProvider:
             Advisory hint: any proper subset of ``features`` (the
             subspace this one was grown from) whose sketch anchors
             certification. Without a usable hint the sorted prefix
-            ``features[:-1]`` anchors instead.
+            ``features[:-1]`` anchors instead. On the full path a hint
+            that is a sorted prefix seeds the composition when cached.
         """
         s = check_feature_indices(features, n_features=self.n_features)
         n = self.n_samples
@@ -643,13 +674,14 @@ class DistanceProvider:
             raise ValidationError(
                 f"k={k} exceeds the number of available neighbours ({n - 1})"
             )
+        hint: tuple[int, ...] | None = None
+        if parent is not None and len(s) >= 2:
+            hint = check_feature_indices(parent, n_features=self.n_features)
         p: tuple[int, ...] | None = None
         m = 0
         if len(s) >= 2 and self.sketch_factor:
-            if parent is not None:
-                hint = check_feature_indices(parent, n_features=self.n_features)
-                if 0 < len(hint) < len(s) and set(hint) < set(s):
-                    p = hint
+            if hint is not None and 0 < len(hint) < len(s) and set(hint) < set(s):
+                p = hint
             if p is None:
                 p = s[:-1]
             # Width shrinks with parent depth: relative distance growth
@@ -658,16 +690,17 @@ class DistanceProvider:
             # moves rows between the sketch and fallback paths — it can
             # never change a bit of the result).
             factor = max(3, -(-2 * self.sketch_factor // (len(p) + 1)))
-            m = min(factor * k, n - 2)
-            if k >= m:
+            m = factor * k
+            if _SKETCH_MAX_FRACTION * m > n:
                 p = None
         if p is None:
             self._count("knn_full")
             _KNN_QUERIES.inc(path="full")
-            D = self.squared_distances(s, parent=parent)
-            order = _smallest_k(D, k)
-            sq = np.take_along_axis(D, order, axis=1)
-            return order, np.sqrt(sq, out=sq)
+            D = self._lookup_composed(s)
+            if D is None:
+                D = self._compose(s, hint)
+            idx, sq = _packed_smallest_k(D, k)
+            return idx, np.sqrt(sq, out=sq)
 
         self._count("knn_sketched")
         _KNN_QUERIES.inc(path="sketch")
@@ -702,10 +735,7 @@ class DistanceProvider:
         if bad.size:
             self._count_n("knn_fallback_rows", int(bad.size))
             _KNN_FALLBACK_ROWS.inc(int(bad.size))
-            rows = self._full_rows(s, bad)
-            order_b = _smallest_k(rows, k)
-            idx[bad] = order_b
-            dist[bad] = rows[np.arange(bad.size)[:, None], order_b]
+            idx[bad], dist[bad] = _packed_smallest_k(self._full_rows(s, bad), k)
         return idx, np.sqrt(dist, out=dist)
 
     def _sketch(self, parent: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -841,11 +871,11 @@ class DistanceProvider:
                 "blocks_slid": self._blocks_slid,
                 "composed_slid": self._composed_slid,
             }
-        keys = self._cache.keys()
+        kinds = self._cache.kind_counts()
         counters.update(
-            blocks=sum(1 for key in keys if key[0] == "b"),
-            composed=sum(1 for key in keys if key[0] == "c"),
-            sketches=sum(1 for key in keys if key[0] == "k"),
+            blocks=kinds.get("b", 0),
+            composed=kinds.get("c", 0),
+            sketches=kinds.get("k", 0),
             nbytes=self._cache.nbytes,
             evictions=self._cache.evictions,
             hits=counters["block_hits"] + counters["composed_hits"],
@@ -879,9 +909,9 @@ class DistanceProvider:
         _EVICTIONS.inc()
 
     def _refresh_gauges(self) -> None:
-        keys = self._cache.keys()
-        _BLOCKS.set(sum(1 for key in keys if key[0] == "b"))
-        _COMPOSED.set(sum(1 for key in keys if key[0] == "c"))
+        kinds = self._cache.kind_counts()
+        _BLOCKS.set(kinds.get("b", 0))
+        _COMPOSED.set(kinds.get("c", 0))
         _BYTES.set(self._cache.nbytes)
 
     # ------------------------------------------------------------------

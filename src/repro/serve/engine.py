@@ -332,7 +332,7 @@ class ExplainEngine:
         """
         from repro.neighbors.provider import resolve_dist_cache_bytes
 
-        if not detector.uses_precomputed_distances:
+        if not detector.uses_knn_queries:
             return None
         parent_fp, new_rows, n_evict = chain
         n = X.shape[0]

@@ -11,7 +11,7 @@ Incremental substrate
 Once the window is full, consecutive scoring contexts differ by exactly
 one row: ``context_t = [w_0..w_{n-1}, p_t]`` becomes
 ``context_{t+1} = [w_1..w_{n-1}, p_t, p_{t+1}]`` — a slide by one. For
-detectors that consume precomputed distances the wrapper therefore keeps
+neighbourhood detectors (``uses_knn_queries``) the wrapper therefore keeps
 a private :class:`~repro.neighbors.DistanceProvider` over the context and
 *slides* it forward per arrival (:meth:`DistanceProvider.slide
 <repro.neighbors.DistanceProvider.slide>`): one ``O(n·d)`` strip plus a
@@ -137,21 +137,21 @@ class StreamingDetector:
     def _score_context(self, context: np.ndarray) -> np.ndarray:
         """Raw detector scores for one context matrix.
 
-        Distance-consuming detectors are served from the private provider
+        Neighbourhood detectors are served from the private provider
         whenever the window is full — a predicate of stream position
         alone, so the routing (and hence every score bit) is identical
         with incremental mode on and off; the kill-switch only decides
         whether the provider arrives warm (slid) or cold (rebuilt).
         """
-        if not (self.detector.uses_precomputed_distances and self.window.is_full):
+        if not (self.detector.uses_knn_queries and self.window.is_full):
             return self.detector.score(context)
         full = tuple(range(context.shape[1]))
         provider = self._advance_provider(context, full)
-        if self.detector.uses_knn_queries:
-            return self.detector.score(context, knn=provider.knn_view(full))
-        return self.detector.score(
-            context, sq_distances=provider.squared_distances(full)
-        )
+        # k-NN queries compose transiently; caching the full-space matrix
+        # here is what lets the next arrival slide it instead of
+        # recomposing it, and the query below then reads it in place.
+        provider.squared_distances(full)
+        return self.detector.score(context, knn=provider.knn_view(full))
 
     def _advance_provider(
         self, context: np.ndarray, full: tuple[int, ...]

@@ -20,15 +20,15 @@ misses are evaluated. Cached vectors are frozen
 (``writeable = False``) so an accidental mutation raises instead of
 silently corrupting every later lookup.
 
-Detectors that consume pairwise distances (LOF, Fast ABOD, k-NN — they
-set ``uses_precomputed_distances``) are additionally served by the shared
-distance substrate (:mod:`repro.neighbors.provider`): the scorer attaches
-the process-wide :class:`~repro.neighbors.DistanceProvider` for its
-dataset fingerprint, and each cache-miss task composes the subspace's
-squared-distance matrix from cached per-feature blocks instead of
-recomputing it from the projection. Explainer stage loops pass
-``parents=`` hints so a grown subspace extends its parent's cached matrix
-by one block addition. The provider's canonical composition order keeps
+Neighbourhood detectors (LOF, Fast ABOD, k-NN — they set
+``uses_knn_queries``) are additionally served by the shared distance
+substrate (:mod:`repro.neighbors.provider`): the scorer attaches the
+process-wide :class:`~repro.neighbors.DistanceProvider` for its dataset
+fingerprint, and each cache-miss task asks it for the subspace's exact
+k nearest neighbours, composed from cached per-feature blocks instead of
+recomputed from the projection. Explainer stage loops pass ``parents=``
+hints that anchor the provider's neighbour sketches and seed its
+compositions. The provider's canonical composition order keeps
 scores byte-identical across backends and cache states; with
 ``REPRO_DIST_CACHE_MB=0`` the substrate is off and every miss takes the
 direct-projection path.
@@ -98,14 +98,8 @@ def _score_subspace_task(
     X, detector, provider = payload
     features, parent = item
     if provider is not None and provider.covers(features):
-        if detector.uses_knn_queries:
-            # LOF / k-NN need only neighbour lists: the certified-sketch
-            # query answers them without composing the full matrix.
-            knn = provider.knn_view(features, parent=parent)
-            return detector.score(project(X, features), knn=knn)
-        if detector.uses_precomputed_distances:
-            sq = provider.squared_distances(features, parent=parent)
-            return detector.score(project(X, features), sq_distances=sq)
+        knn = provider.knn_view(features, parent=parent)
+        return detector.score(project(X, features), knn=knn)
     return detector.score(project(X, features))
 
 
@@ -134,7 +128,7 @@ class SubspaceScorer:
     distance_provider:
         The distance substrate serving neighbourhood detectors. ``None``
         (default) attaches the process-wide shared provider for this
-        dataset when the detector sets ``uses_precomputed_distances``
+        dataset when the detector sets ``uses_knn_queries``
         (no-op otherwise, and disabled by ``REPRO_DIST_CACHE_MB=0``);
         ``False`` forces the direct-projection path; an explicit
         :class:`~repro.neighbors.DistanceProvider` instance is used as
@@ -176,7 +170,7 @@ class SubspaceScorer:
         if distance_provider is None:
             self._provider = (
                 shared_provider(self.X)
-                if detector.uses_precomputed_distances
+                if detector.uses_knn_queries
                 else None
             )
         elif distance_provider is False:

@@ -20,7 +20,7 @@ metrics registry as ``repro_cache_{hits,misses,evictions}_total`` with a
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Callable, Hashable
 from typing import Generic, TypeVar
 
@@ -72,8 +72,13 @@ class LRUCache(Generic[K, V]):
         Optional callback invoked (under the cache lock — keep it cheap
         and non-reentrant) with ``(key, value)`` for every entry evicted
         over the byte budget. Explicit removals via :meth:`clear` do not
-        trigger it. The distance provider uses this to keep per-kind
-        gauges (feature blocks vs composed matrices) accurate.
+        trigger it. The distance provider uses this to count evictions
+        on its process-wide metric.
+    kind:
+        Optional function mapping a key to its kind. When set, the cache
+        keeps a live count of entries per kind, updated on every insert,
+        replacement, eviction and :meth:`clear`, so :meth:`kind_counts`
+        costs nothing per lookup instead of a scan over every key.
     """
 
     def __init__(
@@ -83,6 +88,7 @@ class LRUCache(Generic[K, V]):
         sizeof: Callable[[V], int] | None = None,
         name: str | None = None,
         on_evict: Callable[[K, V], None] | None = None,
+        kind: Callable[[K], Hashable] | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValidationError(f"max_bytes must be positive or None, got {max_bytes}")
@@ -93,6 +99,8 @@ class LRUCache(Generic[K, V]):
         self._lock = threading.RLock()
         self.name = name
         self._on_evict = on_evict
+        self._kind = kind
+        self._kinds: Counter[Hashable] = Counter()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -141,16 +149,19 @@ class LRUCache(Generic[K, V]):
             if key in self._data:
                 self._bytes -= self._sizeof(self._data[key])
                 del self._data[key]
+                self._count_kind(key, -1)
             size = self._sizeof(value)
             if cold and self._bytes + size > self._max_bytes:
                 return
             self._data[key] = value
+            self._count_kind(key, 1)
             if cold:
                 self._data.move_to_end(key, last=False)
             self._bytes += size
             while self._bytes > self._max_bytes and len(self._data) > 1:
                 evicted_key, evicted = self._data.popitem(last=False)
                 self._bytes -= self._sizeof(evicted)
+                self._count_kind(evicted_key, -1)
                 self.evictions += 1
                 if self.name is not None:
                     _OBS_EVICTIONS.inc(cache=self.name)
@@ -187,10 +198,20 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             return list(self._data.items())
 
+    def kind_counts(self) -> dict[Hashable, int]:
+        """Entries currently cached per kind (empty without ``kind=``)."""
+        with self._lock:
+            return {k: c for k, c in self._kinds.items() if c}
+
+    def _count_kind(self, key: K, delta: int) -> None:
+        if self._kind is not None:
+            self._kinds[self._kind(key)] += delta
+
     def clear(self) -> None:
         """Drop all entries and reset statistics."""
         with self._lock:
             self._data.clear()
+            self._kinds.clear()
             self._bytes = 0
             self.hits = 0
             self.misses = 0

@@ -15,6 +15,8 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.detectors import LOF
+from repro.neighbors.knn import _smallest_k
+from repro.neighbors.provider import DistanceProvider
 from repro.subspaces import SubspaceScorer
 
 
@@ -69,6 +71,30 @@ def hics_small():
 def breast_small():
     """A smoke-scale realistic surrogate (8 features, 2-3d ground truth)."""
     return load_dataset("breast", n_features=8, gt_dimensionalities=(2, 3))
+
+
+class DirectKNNView:
+    """Reference k-NN view: ``argpartition`` on a composed matrix.
+
+    Selects with :func:`repro.neighbors.knn._smallest_k` on the canonical
+    float32 matrix of a fresh provider — the selection the substrate's
+    query path (packed keys, sketches, fallbacks) must reproduce bit for
+    bit.
+    """
+
+    def __init__(self, X: np.ndarray, features: tuple[int, ...]) -> None:
+        provider = DistanceProvider(X, max_bytes=1 << 26)
+        self._D = provider.squared_distances(features)
+
+    def kneighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        order = _smallest_k(self._D, k)
+        return order, np.sqrt(np.take_along_axis(self._D, order, axis=1))
+
+
+@pytest.fixture(scope="session")
+def direct_knn():
+    """Factory ``direct_knn(X, features)`` of :class:`DirectKNNView`."""
+    return DirectKNNView
 
 
 @pytest.fixture(scope="session")

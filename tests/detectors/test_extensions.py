@@ -28,7 +28,7 @@ class TestKNNDetector:
 
     @pytest.mark.parametrize("aggregation", ["kth", "mean"])
     def test_knn_view_matches_precomputed_distances_bitwise(
-        self, rng, aggregation
+        self, rng, direct_knn, aggregation
     ):
         from repro.neighbors.provider import DistanceProvider
 
@@ -38,8 +38,8 @@ class TestKNNDetector:
         P = X[:, list(s)]
         det = KNNDetector(k=7, aggregation=aggregation)
         via_knn = det.score(P, knn=provider.knn_view(s, parent=(0, 2)))
-        via_sq = det.score(P, sq_distances=provider.squared_distances(s))
-        assert via_knn.tobytes() == via_sq.tobytes()
+        direct = det.score(P, knn=direct_knn(X, s))
+        assert via_knn.tobytes() == direct.tobytes()
 
 
 class TestMahalanobisDetector:

@@ -73,17 +73,22 @@ class TestLOFInterface:
 
 
 class TestLOFKNNQueryPath:
-    def test_knn_view_matches_precomputed_distances_bitwise(self, rng):
-        # Both provider-backed paths run on the same canonical float32
-        # chain, so their LOF scores must agree to the last bit — the
-        # guarantee that lets the scorer pick either path freely.
-        X = rng.normal(size=(120, 6))
-        provider = DistanceProvider(X, max_bytes=1 << 24)
-        s = (1, 3, 5)
-        P = X[:, list(s)]
-        via_knn = LOF(k=10).score(P, knn=provider.knn_view(s, parent=(1, 3)))
-        via_sq = LOF(k=10).score(P, sq_distances=provider.squared_distances(s))
-        assert via_knn.tobytes() == via_sq.tobytes()
+    def test_knn_view_matches_precomputed_distances_bitwise(
+        self, rng, direct_knn
+    ):
+        # The provider's k-NN view (packed-key full path at n = 120, a
+        # certified sketch at n = 800) and argpartition on the precomputed
+        # canonical float32 matrix must give the same LOF bits.
+        for n, path in ((120, "knn_full"), (800, "knn_sketched")):
+            X = rng.normal(size=(n, 6))
+            provider = DistanceProvider(X, max_bytes=1 << 26)
+            s = (1, 3, 5)
+            P = X[:, list(s)]
+            view = provider.knn_view(s, parent=(1, 3))
+            via_knn = LOF(k=10).score(P, knn=view)
+            direct = LOF(k=10).score(P, knn=direct_knn(X, s))
+            assert via_knn.tobytes() == direct.tobytes(), n
+            assert provider.stats()[path] == 1, n
 
     def test_knn_view_close_to_direct(self, rng):
         # The substrate works in float32; the direct path in float64.

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.exceptions import ValidationError
-from repro.neighbors.knn import KNNIndex, kneighbors
+from repro.neighbors.knn import KNNIndex, _packed_smallest_k, _smallest_k, kneighbors
+from repro.neighbors.provider import DistanceProvider
 
 
 class TestKneighbors:
@@ -73,3 +74,58 @@ class TestQuery:
         X = rng.normal(size=(5, 2))
         idx, _ = KNNIndex(X).query(X[:2], 5)
         assert idx.shape == (2, 5)
+
+
+def _masked_sq(X: np.ndarray) -> np.ndarray:
+    """Canonical float32 squared distances, diagonal ``+inf``."""
+    provider = DistanceProvider(X, max_bytes=1 << 26)
+    return provider.squared_distances(range(X.shape[1]))
+
+
+def _case(kind: str, seed: int, n: int = 97, d: int = 3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if kind == "duplicate_rows":
+        X[n // 2 :] = X[: n - n // 2]
+    elif kind == "constant_column":
+        X[:, 0] = 1.5
+        X = X[:, :1] if seed % 2 else X  # a 1-d constant: all-zero rows
+    elif kind == "all_equal_rows":
+        X[:] = X[0]
+    elif kind == "coarse_grid":
+        X = np.round(X, 1)  # many ties, some at the k-th boundary
+    return X
+
+
+class TestPackedSelection:
+    """Packed-key selection must equal the argpartition routine bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random_rows", "duplicate_rows", "constant_column", "all_equal_rows",
+         "coarse_grid"],
+    )
+    @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: 15, lambda n: n - 2],
+                             ids=["k1", "k15", "k_n-2"])
+    def test_matches_argpartition(self, seed, kind, k_of_n):
+        D = _masked_sq(_case(kind, seed))
+        k = k_of_n(D.shape[0])
+        idx, sq = _packed_smallest_k(D, k)
+        ref = _smallest_k(D, k)
+        assert idx.dtype == ref.dtype and sq.dtype == np.float32
+        assert idx.tobytes() == ref.tobytes()
+        assert sq.tobytes() == np.take_along_axis(D, ref, axis=1).tobytes()
+
+    def test_rows_span_several_chunks(self):
+        # n = 700 packs fewer rows per chunk than the matrix has.
+        D = _masked_sq(_case("coarse_grid", 3, n=700, d=2))
+        idx, sq = _packed_smallest_k(D, 9)
+        ref = _smallest_k(D, 9)
+        assert idx.tobytes() == ref.tobytes()
+        assert sq.tobytes() == np.take_along_axis(D, ref, axis=1).tobytes()
+
+    def test_k_equals_n_minus_one(self):
+        D = _masked_sq(_case("duplicate_rows", 4, n=12))
+        idx, _ = _packed_smallest_k(D, 11)
+        assert idx.tobytes() == _smallest_k(D, 11).tobytes()

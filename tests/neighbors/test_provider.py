@@ -23,6 +23,13 @@ def X():
     return rng.normal(size=(50, 8))
 
 
+@pytest.fixture
+def X_wide():
+    """Large enough that k <= 8 queries satisfy the 8 m <= n sketch rule."""
+    rng = np.random.default_rng(42)
+    return rng.normal(size=(800, 8))
+
+
 def direct_sq(X, features):
     """Reference squared distances of a projection, diagonal +inf."""
     P = X[:, list(features)]
@@ -245,24 +252,24 @@ def reference_knn(provider, features, k):
 class TestCertifiedSketches:
     """kneighbors must be bit-identical to the full path in every regime."""
 
-    def test_sketched_query_is_byte_identical(self, X):
-        provider = DistanceProvider(X, max_bytes=1 << 24)
+    def test_sketched_query_is_byte_identical(self, X_wide):
+        provider = DistanceProvider(X_wide, max_bytes=1 << 26)
         rng = np.random.default_rng(3)
         for _ in range(25):
             d = int(rng.integers(2, 5))
             s = tuple(sorted(rng.choice(8, size=d, replace=False).tolist()))
-            k = int(rng.integers(2, 20))
+            k = int(rng.integers(2, 9))
             idx, dist = provider.kneighbors(s, k)
             ref_idx, ref_dist = reference_knn(provider, s, k)
             assert idx.tobytes() == ref_idx.tobytes()
             assert dist.tobytes() == ref_dist.tobytes()
         assert provider.stats()["knn_sketched"] == 25
 
-    def test_hint_choice_cannot_change_bits(self, X):
+    def test_hint_choice_cannot_change_bits(self, X_wide):
         s, k = (1, 3, 5, 7), 8
-        baseline = DistanceProvider(X, max_bytes=1 << 24).kneighbors(s, k)
+        baseline = DistanceProvider(X_wide, max_bytes=1 << 26).kneighbors(s, k)
         for hint in (None, (1,), (3, 7), (1, 3, 5), (5,)):
-            provider = DistanceProvider(X, max_bytes=1 << 24)
+            provider = DistanceProvider(X_wide, max_bytes=1 << 26)
             idx, dist = provider.kneighbors(s, k, parent=hint)
             assert idx.tobytes() == baseline[0].tobytes()
             assert dist.tobytes() == baseline[1].tobytes()
@@ -272,26 +279,28 @@ class TestCertifiedSketches:
         # zero: no row can certify (bound == 0), so all of them take the
         # full-row fallback — and the answer must still be exact.
         rng = np.random.default_rng(9)
-        X = rng.normal(size=(60, 4))
+        X = rng.normal(size=(800, 4))
         X[:, 0] = 2.5
-        provider = DistanceProvider(X, max_bytes=1 << 24)
+        provider = DistanceProvider(X, max_bytes=1 << 26)
         idx, dist = provider.kneighbors((0, 2), 6)  # implicit parent (0,)
         ref_idx, ref_dist = reference_knn(provider, (0, 2), 6)
         assert idx.tobytes() == ref_idx.tobytes()
         assert dist.tobytes() == ref_dist.tobytes()
         stats = provider.stats()
+        assert stats["knn_sketched"] == 1
         assert stats["knn_fallback_rows"] == X.shape[0]
 
     def test_duplicated_points_boundary_ties_exact(self):
         rng = np.random.default_rng(4)
-        X = rng.normal(size=(80, 5))
-        X[20:30] = X[10:20]  # exact duplicates: distance ties everywhere
-        provider = DistanceProvider(X, max_bytes=1 << 24)
+        X = rng.normal(size=(800, 5))
+        X[200:300] = X[100:200]  # exact duplicates: distance ties everywhere
+        provider = DistanceProvider(X, max_bytes=1 << 26)
         for s in [(0, 1), (1, 2, 4), (0, 2, 3, 4)]:
             idx, dist = provider.kneighbors(s, 7)
             ref_idx, ref_dist = reference_knn(provider, s, 7)
             assert idx.tobytes() == ref_idx.tobytes()
             assert dist.tobytes() == ref_dist.tobytes()
+        assert provider.stats()["knn_sketched"] == 3
 
     def test_single_feature_uses_full_path(self, X):
         provider = DistanceProvider(X, max_bytes=1 << 24)
@@ -312,14 +321,39 @@ class TestCertifiedSketches:
         assert idx.tobytes() == ref_idx.tobytes()
         assert provider.stats()["knn_full"] == 1
 
-    def test_sketch_cached_per_anchor(self, X):
-        provider = DistanceProvider(X, max_bytes=1 << 24)
+    def test_sketch_cached_per_anchor(self, X_wide):
+        provider = DistanceProvider(X_wide, max_bytes=1 << 26)
         provider.kneighbors((1, 3), 5, parent=(1,))
         provider.kneighbors((1, 4), 5, parent=(1,))  # same anchor, same m
         stats = provider.stats()
         assert stats["sketch_misses"] == 1
         assert stats["sketch_hits"] == 1
         assert stats["sketches"] == 1
+
+    def test_sketch_rule_is_eighth_of_n(self, X_wide):
+        # A 1-feature anchor sketches m = 12 k candidates: k = 8 gives
+        # m = 96 <= 800 / 8 and sketches, k = 9 gives m = 108 and does not.
+        provider = DistanceProvider(X_wide, max_bytes=1 << 26)
+        provider.kneighbors((2, 5), 8)
+        assert provider.stats()["knn_sketched"] == 1
+        provider.kneighbors((2, 5), 9)
+        assert provider.stats()["knn_full"] == 1
+
+    def test_paper_shape_takes_full_path(self):
+        # n = 198, k = 15 (the breast surrogate with LOF's k): no anchor
+        # depth brings m down to n / 8, so every query is exact full-row.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(198, 5))
+        provider = DistanceProvider(X, max_bytes=1 << 24)
+        for s in [(0, 1), (0, 1, 2), (0, 1, 2, 3)]:
+            idx, dist = provider.kneighbors(s, 15)
+            ref_idx, ref_dist = reference_knn(provider, s, 15)
+            assert idx.tobytes() == ref_idx.tobytes()
+            assert dist.tobytes() == ref_dist.tobytes()
+        stats = provider.stats()
+        assert stats["knn_full"] == 3
+        assert stats["knn_sketched"] == 0
+        assert stats["sketches"] == 0
 
     def test_invalid_k_rejected(self, X):
         provider = DistanceProvider(X, max_bytes=1 << 24)
@@ -341,3 +375,43 @@ class TestCertifiedSketches:
         ref_idx, ref_dist = provider.kneighbors((2, 6), 4, parent=(2,))
         assert idx.tobytes() == ref_idx.tobytes()
         assert dist.tobytes() == ref_dist.tobytes()
+
+
+class TestTransientComposition:
+    """Full-path queries compose into a throwaway array, never the cache."""
+
+    def test_full_path_query_caches_no_composed_matrix(self, X):
+        provider = DistanceProvider(X, max_bytes=1 << 24)
+        provider.squared_distances((0, 1))
+        before = provider.stats()["composed"]
+        for s in [(2, 3), (0, 1, 4), (1, 5, 6, 7)]:
+            provider.kneighbors(s, 10)
+        stats = provider.stats()
+        assert stats["knn_full"] == 3
+        assert stats["composed"] == before == 1
+        assert stats["nbytes"] == (1 + 8) * X.shape[0] ** 2 * 4  # + blocks
+
+    def test_cached_prefix_and_matrix_are_reused_exactly(self, X):
+        reference = DistanceProvider(X, max_bytes=1 << 24)
+        expected = reference.kneighbors((1, 3, 6), 9)
+        provider = DistanceProvider(X, max_bytes=1 << 24)
+        provider.squared_distances((1, 3))
+        via_prefix = provider.kneighbors((1, 3, 6), 9)
+        assert provider.stats()["parent_reuses"] == 1
+        provider.squared_distances((1, 3, 6))
+        via_cached = provider.kneighbors((1, 3, 6), 9)
+        assert provider.stats()["composed_hits"] == 1
+        for got in (via_prefix, via_cached):
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_kind_counts_follow_evictions(self, X):
+        n = X.shape[0]
+        provider = DistanceProvider(X, max_bytes=3 * n * n * 4)
+        for s in [(0, 1), (2, 3), (4, 5)]:
+            provider.squared_distances(s)
+        stats = provider.stats()
+        keys = provider._cache.keys()
+        assert stats["blocks"] == sum(1 for key in keys if key[0] == "b")
+        assert stats["composed"] == sum(1 for key in keys if key[0] == "c")
+        assert stats["evictions"] > 0

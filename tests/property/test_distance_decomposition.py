@@ -1,11 +1,11 @@
 """Property tests: decomposition-path scores match direct-path scores.
 
 The distance substrate composes a subspace's squared distances from
-float32 per-feature blocks, so its scores are not bit-identical to the
-direct float64 projection path — but they must agree to tight tolerance
-for every neighbourhood detector, across random subspaces, input dtypes,
-and parent-reuse chains. (Bit-level *self*-consistency of the substrate is
-covered in ``tests/neighbors/test_provider.py``.)
+float32 per-feature blocks, so the scores its k-NN view yields are not
+bit-identical to the direct float64 projection path — but they must agree
+to tight tolerance for every neighbourhood detector, across random
+subspaces, input dtypes, and parent chains. (Bit-level *self*-consistency
+of the substrate is covered in ``tests/neighbors/test_provider.py``.)
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ def test_decomposition_matches_direct_path(detector, seed):
         sub = tuple(sorted(rng.choice(X.shape[1], size=dim, replace=False).tolist()))
         P = X[:, list(sub)]
         direct = detector.score(P)
-        via = detector.score(P, sq_distances=provider.squared_distances(sub))
+        via = detector.score(P, knn=provider.knn_view(sub))
         np.testing.assert_allclose(via, direct, rtol=1e-4, atol=1e-6)
 
 
@@ -51,17 +51,18 @@ def test_parent_reuse_chain_matches_direct_path(detector):
     parent = None
     for end in range(1, len(chain) + 1):
         sub = chain[:end]
-        sq = provider.squared_distances(sub, parent=parent)
         P = X[:, list(sub)]
         np.testing.assert_allclose(
-            detector.score(P, sq_distances=sq),
+            detector.score(P, knn=provider.knn_view(sub, parent=parent)),
             detector.score(P),
             rtol=1e-4,
             atol=1e-6,
         )
         parent = sub
-    # Every growth step after the first extended the cached parent.
-    assert provider.stats()["parent_reuses"] == len(chain) - 1
+    # Every step composed transiently: no query matrix stayed cached.
+    stats = provider.stats()
+    assert stats["composed_misses"] == len(chain)
+    assert stats["composed"] == 0
 
 
 def test_scorer_provider_on_off_allclose():

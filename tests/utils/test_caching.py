@@ -67,6 +67,23 @@ class TestEviction:
         with pytest.raises(ValidationError):
             LRUCache(max_bytes=0)
 
+    def test_kind_counts_track_insert_replace_evict_and_clear(self):
+        cache: LRUCache[tuple, np.ndarray] = LRUCache(
+            max_bytes=240, kind=lambda key: key[0]
+        )
+        cache.put(("a", 0), np.zeros(10))  # 80 bytes each
+        cache.put(("a", 1), np.zeros(10))
+        cache.put(("a", 1), np.zeros(10))  # replacement: still one entry
+        cache.put(("b", 0), np.zeros(10))
+        assert cache.kind_counts() == {"a": 2, "b": 1}
+        cache.put(("b", 1), np.zeros(10))  # evicts ("a", 0)
+        assert cache.kind_counts() == {"a": 1, "b": 2}
+        cache.put(("a", 1), np.zeros(40), cold=True)  # dropped: no room
+        assert cache.kind_counts() == {"b": 2}
+        cache.clear()
+        assert cache.kind_counts() == {}
+        assert LRUCache(max_bytes=100).kind_counts() == {}
+
 
 class TestStatistics:
     def test_eviction_counter_under_byte_pressure(self):
