@@ -16,10 +16,19 @@ score over 10 independent repetitions to reduce variance (Section 3.1);
 
 Implementation notes
 --------------------
-Trees are stored as flat NumPy arrays (one row per node) and *all* points
-are routed through a tree level-synchronously, so scoring is a handful of
-vectorised gather operations per tree instead of a Python walk per point —
-essential because the explainers score thousands of subspace projections.
+Growth is a Python loop over nodes, so a node reads only the feature it
+splits on: the sample's columns become lists of floats once per tree, and a
+node sorts its rows by the drawn column, which gives the node's range at
+the ends and the two children on either side of the threshold. The tie
+screen, one ``np.sort`` of the sample per tree, finds the features with a
+repeated value; only those can be constant in a node, so only those are
+checked per node. The trees and random draws are those of a min/max scan
+of every feature per node, which the tests keep as the reference.
+
+Trees are stored as flat NumPy arrays (one row per node), and all points are
+routed through all trees of a forest together, level by level: a handful of
+vectorised gathers per level instead of a Python walk per point — essential
+because the explainers score thousands of subspace projections.
 Randomness is derived from ``(seed, fingerprint(X))`` so that re-scoring
 the same projection is deterministic (see :mod:`repro.detectors.base`).
 """
@@ -27,6 +36,7 @@ the same projection is deterministic (see :mod:`repro.detectors.base`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +76,6 @@ class _Tree:
     right: np.ndarray  # (n_nodes,) int32 child index
     adjust: np.ndarray  # (n_nodes,) float64, depth + c(leaf_size) at leaves
     depth: int  # maximum node depth
-
-    def path_lengths(self, X: np.ndarray) -> np.ndarray:
-        """Adjusted path length of every row of ``X`` in this tree."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(self.depth + 1):
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            cur = node[rows]
-            go_left = X[rows, self.feature[cur]] < self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.adjust[node]
 
 
 class IsolationForest(Detector):
@@ -200,7 +196,18 @@ def _forest_path_lengths(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
 
 
 def _grow_tree(S: np.ndarray, height_limit: int, rng: np.random.Generator) -> _Tree:
-    """Grow one isolation tree on sample ``S`` up to ``height_limit``."""
+    """Grow one isolation tree on the finite sample ``S`` up to ``height_limit``.
+
+    Depth first, each node that can split draws a feature uniformly among
+    those not constant in it (``rng.integers``), then a threshold uniformly
+    between the feature's node minimum and maximum (``rng.uniform``).
+    """
+    columns = S.T.tolist()
+    # Tie screen: only a feature with a repeated sample value can be constant
+    # in a node of two or more rows, and one constant in a node stays so below.
+    ordered = np.sort(S, axis=0)
+    tied = (ordered[1:] == ordered[:-1]).any(axis=0)
+    distinct = np.flatnonzero(~tied).tolist()
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -208,40 +215,42 @@ def _grow_tree(S: np.ndarray, height_limit: int, rng: np.random.Generator) -> _T
     adjust: list[float] = []
     max_depth = 0
 
-    # Depth-first construction with an explicit stack of (row mask, depth,
-    # parent slot). Each stack entry allocates its node index on pop.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(S.shape[0]), 0, -1, False)
-    ]
+    # Depth-first construction with an explicit stack of (rows, depth,
+    # parent slot, tied features that may vary). Each stack entry allocates
+    # its node index on pop.
+    stack = [(list(range(S.shape[0])), 0, -1, False, np.flatnonzero(tied).tolist())]
     while stack:
-        rows, depth, parent, is_right = stack.pop()
+        rows, depth, parent, is_right, maybe = stack.pop()
         node_id = len(feature)
         if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
-        max_depth = max(max_depth, depth)
-        split = _choose_split(S, rows, rng) if (
-            depth < height_limit and rows.shape[0] > 1
-        ) else None
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            adjust.append(depth + average_path_length(rows.shape[0]))
-            continue
-        feat, thr = split
-        feature.append(feat)
-        threshold.append(thr)
+            (right if is_right else left)[parent] = node_id
         left.append(-1)
         right.append(-1)
+        max_depth = max(max_depth, depth)
+        splittable = []
+        if depth < height_limit and len(rows) > 1:
+            maybe = [f for f in maybe if _varies(columns[f], rows)]
+            splittable = sorted(distinct + maybe) if maybe else distinct
+        if not splittable:
+            feature.append(-1)
+            threshold.append(0.0)
+            adjust.append(depth + average_path_length(len(rows)))
+            continue
+        # Same value and generator state as ``rng.choice(splittable)``, at a
+        # fifth of its cost.
+        feat = splittable[rng.integers(len(splittable))]
+        # Sorted by the drawn feature (in linear time when the parent split
+        # on it too), the rows hold the node's range at their ends and the
+        # two children on either side of the threshold.
+        key = columns[feat].__getitem__
+        rows.sort(key=key)
+        thr = float(rng.uniform(key(rows[0]), key(rows[-1])))
+        cut = bisect_left(rows, thr, key=key)
+        feature.append(feat)
+        threshold.append(thr)
         adjust.append(0.0)
-        values = S[rows, feat]
-        go_left = values < thr
-        stack.append((rows[~go_left], depth + 1, node_id, True))
-        stack.append((rows[go_left], depth + 1, node_id, False))
+        stack.append((rows[cut:], depth + 1, node_id, True, maybe))
+        stack.append((rows[:cut], depth + 1, node_id, False, maybe))
 
     return _Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -253,22 +262,7 @@ def _grow_tree(S: np.ndarray, height_limit: int, rng: np.random.Generator) -> _T
     )
 
 
-def _choose_split(
-    S: np.ndarray, rows: np.ndarray, rng: np.random.Generator
-) -> tuple[int, float] | None:
-    """Pick a uniformly random (feature, threshold) that splits ``rows``.
-
-    Features whose values are constant within the node cannot split it;
-    one is drawn uniformly among the non-constant features, mirroring the
-    reference implementation. Returns ``None`` when all features are
-    constant (duplicated points), making the node a leaf.
-    """
-    values = S[rows]
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    splittable = np.flatnonzero(hi > lo)
-    if splittable.shape[0] == 0:
-        return None
-    feat = int(rng.choice(splittable))
-    thr = float(rng.uniform(lo[feat], hi[feat]))
-    return feat, thr
+def _varies(column: list[float], rows: list[int]) -> bool:
+    """Whether ``column`` takes two or more values on ``rows``."""
+    first = column[rows[0]]
+    return column[rows[-1]] != first or any(column[r] != first for r in rows)

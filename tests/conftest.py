@@ -15,6 +15,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.detectors import LOF
+from repro.detectors.iforest import _Tree, average_path_length
 from repro.neighbors.knn import _smallest_k
 from repro.neighbors.provider import DistanceProvider
 from repro.subspaces import SubspaceScorer
@@ -95,6 +96,91 @@ class DirectKNNView:
 def direct_knn():
     """Factory ``direct_knn(X, features)`` of :class:`DirectKNNView`."""
     return DirectKNNView
+
+
+# Reference Isolation Forest growth: a min/max scan of every feature per
+# node and ``rng.choice`` for the feature draw. The production grower reads
+# only the drawn feature and must reproduce these trees and this random
+# stream bit for bit.
+def _grow_tree(S: np.ndarray, height_limit: int, rng: np.random.Generator) -> _Tree:
+    """Grow one isolation tree on sample ``S`` up to ``height_limit``."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    adjust: list[float] = []
+    max_depth = 0
+
+    # Depth-first construction with an explicit stack of (row mask, depth,
+    # parent slot). Each stack entry allocates its node index on pop.
+    stack: list[tuple[np.ndarray, int, int, bool]] = [
+        (np.arange(S.shape[0]), 0, -1, False)
+    ]
+    while stack:
+        rows, depth, parent, is_right = stack.pop()
+        node_id = len(feature)
+        if parent >= 0:
+            if is_right:
+                right[parent] = node_id
+            else:
+                left[parent] = node_id
+        max_depth = max(max_depth, depth)
+        split = _choose_split(S, rows, rng) if (
+            depth < height_limit and rows.shape[0] > 1
+        ) else None
+        if split is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            adjust.append(depth + average_path_length(rows.shape[0]))
+            continue
+        feat, thr = split
+        feature.append(feat)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        adjust.append(0.0)
+        values = S[rows, feat]
+        go_left = values < thr
+        stack.append((rows[~go_left], depth + 1, node_id, True))
+        stack.append((rows[go_left], depth + 1, node_id, False))
+
+    return _Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        adjust=np.asarray(adjust, dtype=np.float64),
+        depth=max_depth,
+    )
+
+
+def _choose_split(
+    S: np.ndarray, rows: np.ndarray, rng: np.random.Generator
+) -> tuple[int, float] | None:
+    """Pick a uniformly random (feature, threshold) that splits ``rows``.
+
+    Features whose values are constant within the node cannot split it;
+    one is drawn uniformly among the non-constant features, mirroring the
+    reference implementation. Returns ``None`` when all features are
+    constant (duplicated points), making the node a leaf.
+    """
+    values = S[rows]
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    splittable = np.flatnonzero(hi > lo)
+    if splittable.shape[0] == 0:
+        return None
+    feat = int(rng.choice(splittable))
+    thr = float(rng.uniform(lo[feat], hi[feat]))
+    return feat, thr
+
+
+@pytest.fixture(scope="session")
+def reference_grow_tree():
+    """The reference grower ``reference_grow_tree(S, height_limit, rng)``."""
+    return _grow_tree
 
 
 @pytest.fixture(scope="session")

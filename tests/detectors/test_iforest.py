@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.detectors import IsolationForest, average_path_length
-from repro.detectors.iforest import _grow_tree
+from repro.detectors import iforest
+from repro.detectors.iforest import _forest_path_lengths, _grow_tree
 from repro.exceptions import ValidationError
 
 
@@ -45,7 +46,7 @@ class TestIsolationForestBehaviour:
     def test_deterministic_per_input(self, rng):
         X = rng.normal(size=(80, 3))
         det = IsolationForest(n_trees=20, n_repeats=2, seed=3)
-        assert np.allclose(det.score(X), det.score(X))
+        assert np.array_equal(det.score(X), det.score(X))
 
     def test_different_inputs_different_randomness(self, rng):
         det = IsolationForest(n_trees=20, n_repeats=1, seed=3)
@@ -91,7 +92,7 @@ class TestTreeConstruction:
     def test_path_lengths_bounded_by_height(self, rng):
         S = rng.normal(size=(64, 2))
         tree = _grow_tree(S, height_limit=4, rng=np.random.default_rng(1))
-        lengths = tree.path_lengths(S)
+        lengths = _forest_path_lengths([tree], S)[0]
         # depth <= 4 plus the c(leaf size) adjustment
         assert (lengths <= 4 + average_path_length(64)).all()
 
@@ -102,3 +103,46 @@ class TestTreeConstruction:
             IsolationForest(subsample_size=1)
         with pytest.raises(ValidationError):
             IsolationForest(n_repeats=0)
+
+
+class TestReferenceGrowth:
+    """The grower against the reference in ``tests/conftest.py``.
+
+    The tree-level property test lives in
+    ``tests/property/test_detector_properties.py``.
+    """
+
+    @pytest.mark.parametrize("n_repeats", [1, 2])
+    def test_score_bitwise_equal_to_reference_forest(
+        self, n_repeats, reference_grow_tree, monkeypatch
+    ):
+        gen = np.random.default_rng(4)
+        X = np.column_stack(
+            [
+                gen.normal(size=300),
+                np.round(gen.normal(size=300), 1),
+                gen.integers(0, 3, size=300).astype(float),
+                np.full(300, 2.5),
+            ]
+        )
+        X[150:170] = X[:20]
+        det = IsolationForest(n_trees=25, n_repeats=n_repeats, seed=9)
+        scores = det.score(X)
+        monkeypatch.setattr(iforest, "_grow_tree", reference_grow_tree)
+        reference = det.score(X)
+        assert scores.tobytes() == reference.tobytes()
+
+    def test_choice_equals_indexed_integers_draw(self):
+        # The grower draws its split feature as
+        # ``splittable[rng.integers(len(splittable))]`` where the reference
+        # calls ``rng.choice(splittable)``. Both must give the same value
+        # and leave the generator in the same state, or every tree changes.
+        for size in (1, 2, 3, 5, 31, 256, 1 << 20):
+            a = np.arange(size, dtype=np.int64) * 3 + 1
+            as_list = a.tolist()
+            for seed in range(4):
+                by_choice = np.random.default_rng(seed)
+                by_index = np.random.default_rng(seed)
+                for _ in range(25):
+                    assert by_choice.choice(a) == as_list[by_index.integers(len(a))]
+                assert by_choice.bit_generator.state == by_index.bit_generator.state

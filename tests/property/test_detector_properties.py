@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.detectors import LOF, FastABOD, IsolationForest, KNNDetector
+from repro.detectors.iforest import _grow_tree
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -64,7 +65,51 @@ def test_iforest_scores_in_unit_interval(X, seed):
 @given(X=matrices(min_rows=8), seed=st.integers(0, 10))
 def test_iforest_deterministic(X, seed):
     det = IsolationForest(n_trees=8, n_repeats=1, seed=seed)
-    assert np.allclose(det.score(X), det.score(X))
+    assert np.array_equal(det.score(X), det.score(X))
+
+
+@st.composite
+def tree_samples(draw):
+    """An ``(n, d)`` sample of one of the kinds that stress the split draw."""
+    n, d = draw(st.integers(2, 300)), draw(st.integers(1, 31))
+    kind = draw(
+        st.sampled_from(
+            ["floats", "rounded", "constant_column", "duplicated_rows",
+             "small_integers", "signed_zeros", "adjacent_floats"]
+        )
+    )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-3, 4)
+    if kind == "rounded":
+        S = np.round(S / np.abs(S).max(), 1)
+    elif kind == "constant_column":
+        S[:, gen.integers(d)] = gen.normal()
+    elif kind == "duplicated_rows":
+        S = S[gen.integers(0, max(1, n // 4), size=n)]
+    elif kind == "small_integers":
+        S = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    elif kind == "signed_zeros":
+        zeros = gen.choice([-0.0, 0.0], size=(n, d))
+        S = np.where(gen.random((n, d)) < 0.6, zeros, np.round(S, 0))
+    elif kind == "adjacent_floats":
+        # A node range of a few ulps makes the threshold land on a value.
+        S = 1.0 + gen.integers(0, 4, size=(n, d)) * np.spacing(1.0)
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=tree_samples(), height_limit=st.integers(1, 9), seed=st.integers(0, 10))
+def test_iforest_growth_matches_reference(reference_grow_tree, S, height_limit, seed):
+    grown, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        tree = _grow_tree(S, height_limit, grown)
+        expected = reference_grow_tree(S, height_limit, reference)
+        for field in ("feature", "threshold", "left", "right", "adjust"):
+            got, want = getattr(tree, field), getattr(expected, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        assert tree.depth == expected.depth
+        assert grown.bit_generator.state == reference.bit_generator.state
 
 
 @settings(max_examples=25, deadline=None)
