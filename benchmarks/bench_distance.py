@@ -3,9 +3,12 @@
 Compares the two ways a subspace's pairwise distances can be produced:
 
 * **direct** — project the dataset and run
-  :func:`~repro.neighbors.distance.euclidean_pdist_matrix` (the
-  pre-substrate hot path: one matmul expansion plus several full-matrix
-  passes for clamping, sqrt, symmetrisation, and diagonal masking);
+  :func:`~repro.neighbors.distance.euclidean_pdist_matrix`: one matmul
+  expansion plus full-matrix passes for clamping, sqrt, symmetrisation
+  and the diagonal. No neighbour query builds this matrix any more:
+  :meth:`~repro.neighbors.KNNIndex.kneighbors` replays the same
+  operations one row block at a time and selects each block's
+  neighbours before the next is built;
 * **composed** — sum cached per-feature float32 blocks through
   :class:`~repro.neighbors.DistanceProvider` (one float64 accumulation
   pass per feature, diagonal pre-masked, no sqrt at all).
@@ -20,6 +23,11 @@ selection) — at n ∈ {198, 300, 600, 1000, 2000} and anchor depths 1–3,
 and marks the path the provider's ``8 m <= n`` sketch rule picks. It is
 the record behind that rule's constant.
 
+``--wide`` times one ``KNNIndex(X).kneighbors(15)`` call, the direct
+path every subspace wider than the provider's ``max_compose_dim`` takes,
+at RefOut's pool shapes on the paper's datasets: ``n`` points and
+``round(0.7 d)`` features.
+
 The pytest-benchmark entry points cover the same operations for the
 perf-regression suite.
 """
@@ -33,11 +41,28 @@ import numpy as np
 
 from repro.neighbors import provider as provider_module
 from repro.neighbors.distance import euclidean_pdist_matrix
+from repro.neighbors.knn import KNNIndex
 from repro.neighbors.provider import DEFAULT_SKETCH_FACTOR, DistanceProvider
 
 #: Sizes of the per-query k-NN table: the e2e benchmark's datasets (198,
 #: 300, 600 points) and the paper-scale ones beyond.
 KNN_SIZES = (198, 300, 600, 1000, 2000)
+
+#: ``(dataset, n, d)`` of the wide-query table: the paper's real datasets,
+#: its HiCS datasets at 1000 points, and ``hics_14`` at the 600 points the
+#: e2e benchmark's ``cold_knn`` workload uses. RefOut's pool projects
+#: onto ``round(0.7 d)`` of the ``d`` features.
+WIDE_SHAPES = (
+    ("breast", 198, 31),
+    ("breast_diagnostic", 569, 30),
+    ("hics_14", 600, 14),
+    ("hics_14", 1000, 14),
+    ("hics_23", 1000, 23),
+    ("hics_39", 1000, 39),
+    ("hics_70", 1000, 70),
+    ("hics_100", 1000, 100),
+    ("electricity", 1205, 23),
+)
 
 
 def _matrix(n: int, d: int, seed: int = 0) -> np.ndarray:
@@ -139,6 +164,24 @@ def knn_table(sizes=KNN_SIZES, k: int = 15, d: int = 6, reps: int = 15) -> list[
     return rows
 
 
+def wide_table(shapes=WIDE_SHAPES, k: int = 15, reps: int = 15) -> list[dict]:
+    """Median wall time of one direct ``KNNIndex(X).kneighbors(k)`` call."""
+    rows = []
+    for dataset, n, width in shapes:
+        d = round(0.7 * width)
+        X = _matrix(n, d, seed=n + d)
+        times = []
+        for _ in range(reps):
+            start = time.perf_counter()
+            KNNIndex(X).kneighbors(k)
+            times.append(time.perf_counter() - start)
+        rows.append({
+            "op": "knn_index_wide", "dataset": dataset, "n": n, "d": d, "k": k,
+            "ms": round(float(np.median(times)) * 1000.0, 4),
+        })
+    return rows
+
+
 def main(argv=None) -> None:
     """Standalone mode: wall-clock table plus a JSON perf record."""
     import argparse
@@ -151,7 +194,19 @@ def main(argv=None) -> None:
     parser.add_argument("--d", type=int, default=16)
     parser.add_argument("--knn", action="store_true",
                         help="time the sketch vs full k-NN query paths instead")
+    parser.add_argument("--wide", action="store_true",
+                        help="time direct KNNIndex queries at RefOut's pool shapes instead")
     args = parser.parse_args(argv)
+
+    if args.wide:
+        records = wide_table()
+        print(f"direct KNNIndex(X).kneighbors(15) at RefOut pool shapes, "
+              f"{os.cpu_count()} CPU(s)")
+        print(f"  {'dataset':>17} {'n':>5} {'d':>3} {'ms':>8}")
+        for r in records:
+            print(f"  {r['dataset']:>17} {r['n']:>5} {r['d']:>3} {r['ms']:>8.3f}")
+        _write_json(args.json, records)
+        return
 
     if args.knn:
         records = knn_table()

@@ -55,8 +55,8 @@ class LOF(Detector):
         n = X.shape[0]
         k = min(self.k, n - 1)
         with obs_span("detector.lof.knn", n_samples=n, k=k):
-            index = KNNIndex(X)
-        return self._lof_math(*index.kneighbors(k))
+            neigh_idx, neigh_dist = KNNIndex(X).kneighbors(k)
+        return self._lof_math(neigh_idx, neigh_dist)
 
     def _score_with_knn(self, X: np.ndarray, knn) -> np.ndarray:
         k = min(self.k, X.shape[0] - 1)

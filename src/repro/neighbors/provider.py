@@ -56,10 +56,12 @@ score bits depend on which candidates happened to be cached.
 
 The provider pickles *without* its cache (a process-backend worker
 rebuilds blocks lazily and, by the canonical chain, reproduces the exact
-same bits), and it declines subspaces wider than :attr:`max_compose_dim`
-(block summation is memory-bound; for wide subspaces the one-shot matmul
-expansion in :mod:`repro.neighbors.distance` is cheaper) — that predicate
-depends only on the subspace, never on cache state.
+same bits), and it declines subspaces wider than :attr:`max_compose_dim`.
+A declined subspace is scored by the detector's direct path,
+:class:`~repro.neighbors.KNNIndex` (a float64 matmul expansion), whose
+bits differ from the float32 chain's. The predicate therefore fixes score
+bits: it depends only on the subspace, never on cache state, and changing
+the cutoff changes the scores of every subspace it moves.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ SKETCH_FACTOR_ENV = "REPRO_SKETCH_FACTOR"
 #: Default byte budget when the environment names none: 256 MiB.
 DEFAULT_DIST_CACHE_MB = 256
 
-#: Default widest subspace composed from blocks; wider ones fall back to
-#: the direct matmul expansion (see module docstring).
+#: Default widest subspace composed from blocks; wider ones are scored by
+#: the direct float64 path (see module docstring).
 DEFAULT_MAX_COMPOSE_DIM = 8
 
 #: Neighbour-sketch candidate count as a multiple of ``k`` (see
@@ -188,7 +190,7 @@ def resolve_sketch_factor() -> int:
     """Sketch width factor from ``REPRO_SKETCH_FACTOR`` (default 12).
 
     ``0`` turns sketching off — every neighbour query takes the full
-    canonical path. Values 1..1 are rejected: a 1-wide sketch can never
+    canonical path. 1 is rejected: a 1-wide sketch can never
     certify anything and would only hide a configuration mistake.
     """
     raw = os.environ.get(SKETCH_FACTOR_ENV)

@@ -16,9 +16,11 @@ import pytest
 from repro.datasets import load_dataset
 from repro.detectors import LOF
 from repro.detectors.iforest import _Tree, average_path_length
+from repro.neighbors.distance import euclidean_pdist_matrix
 from repro.neighbors.knn import _smallest_k
 from repro.neighbors.provider import DistanceProvider
 from repro.subspaces import SubspaceScorer
+from repro.utils.validation import check_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +98,36 @@ class DirectKNNView:
 def direct_knn():
     """Factory ``direct_knn(X, features)`` of :class:`DirectKNNView`."""
     return DirectKNNView
+
+
+class ReferenceKNNIndex:
+    """Reference direct k-NN index: ``argpartition`` on the full matrix.
+
+    Materialises the float64 distance matrix with
+    :func:`repro.neighbors.distance.euclidean_pdist_matrix`, masks a copy's
+    diagonal and selects with :func:`repro.neighbors.knn._smallest_k`. The
+    production :class:`~repro.neighbors.KNNIndex` rebuilds row blocks from
+    one Gram product and selects with packed keys; it must reproduce these
+    neighbour lists and distances bit for bit.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        self.X = check_matrix(X, name="X", min_rows=2)
+        self._dist = euclidean_pdist_matrix(self.X)
+        # A point must not be its own neighbour: mask the diagonal.
+        self._masked = self._dist.copy()
+        np.fill_diagonal(self._masked, np.inf)
+
+    def kneighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        order = _smallest_k(self._masked, k)
+        dist = np.take_along_axis(self._masked, order, axis=1)
+        return order, dist
+
+
+@pytest.fixture(scope="session")
+def reference_knn():
+    """Factory ``reference_knn(X)`` of :class:`ReferenceKNNIndex`."""
+    return ReferenceKNNIndex
 
 
 # Reference Isolation Forest growth: a min/max scan of every feature per

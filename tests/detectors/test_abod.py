@@ -41,7 +41,7 @@ class TestFastABODBehaviour:
     def test_deterministic(self, rng):
         X = rng.normal(size=(50, 3))
         det = FastABOD(k=8)
-        assert np.allclose(det.score(X), det.score(X))
+        assert np.array_equal(det.score(X), det.score(X))
 
 
 class TestFastABODInterface:

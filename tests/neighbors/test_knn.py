@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.exceptions import ValidationError
+from repro.neighbors.distance import euclidean_pdist_matrix
 from repro.neighbors.knn import KNNIndex, _packed_smallest_k, _smallest_k, kneighbors
 from repro.neighbors.provider import DistanceProvider
 
@@ -52,7 +53,7 @@ class TestKneighbors:
         X = rng.normal(size=(20, 2))
         index = KNNIndex(X)
         _, dist = index.kneighbors(4)
-        assert np.allclose(index.kth_distance(4), dist[:, -1])
+        assert np.array_equal(index.kth_distance(4), dist[:, -1])
 
 
 class TestQuery:
@@ -82,6 +83,13 @@ def _masked_sq(X: np.ndarray) -> np.ndarray:
     return provider.squared_distances(range(X.shape[1]))
 
 
+def _masked_dist(X: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean distances, diagonal ``+inf``."""
+    D = euclidean_pdist_matrix(X)
+    np.fill_diagonal(D, np.inf)
+    return D
+
+
 def _case(kind: str, seed: int, n: int = 97, d: int = 3) -> np.ndarray:
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
@@ -97,35 +105,74 @@ def _case(kind: str, seed: int, n: int = 97, d: int = 3) -> np.ndarray:
     return X
 
 
+_SEEDS = pytest.mark.parametrize("seed", [0, 1, 2])
+_KINDS = pytest.mark.parametrize(
+    "kind",
+    ["random_rows", "duplicate_rows", "constant_column", "all_equal_rows",
+     "coarse_grid"],
+)
+_KS = pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: 15, lambda n: n - 2],
+                              ids=["k1", "k15", "k_n-2"])
+
+
+def _assert_packed_matches(D: np.ndarray, k: int) -> None:
+    """Packed-key selection returns the argpartition routine's bits."""
+    idx, vals = _packed_smallest_k(D, k)
+    ref = _smallest_k(D, k)
+    assert idx.dtype == ref.dtype and vals.dtype == D.dtype
+    assert idx.tobytes() == ref.tobytes()
+    assert vals.tobytes() == np.take_along_axis(D, ref, axis=1).tobytes()
+
+
 class TestPackedSelection:
     """Packed-key selection must equal the argpartition routine bit for bit."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize(
-        "kind",
-        ["random_rows", "duplicate_rows", "constant_column", "all_equal_rows",
-         "coarse_grid"],
-    )
-    @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: 15, lambda n: n - 2],
-                             ids=["k1", "k15", "k_n-2"])
+    @_SEEDS
+    @_KINDS
+    @_KS
     def test_matches_argpartition(self, seed, kind, k_of_n):
         D = _masked_sq(_case(kind, seed))
-        k = k_of_n(D.shape[0])
-        idx, sq = _packed_smallest_k(D, k)
-        ref = _smallest_k(D, k)
-        assert idx.dtype == ref.dtype and sq.dtype == np.float32
-        assert idx.tobytes() == ref.tobytes()
-        assert sq.tobytes() == np.take_along_axis(D, ref, axis=1).tobytes()
+        _assert_packed_matches(D, k_of_n(D.shape[0]))
 
     def test_rows_span_several_chunks(self):
         # n = 700 packs fewer rows per chunk than the matrix has.
         D = _masked_sq(_case("coarse_grid", 3, n=700, d=2))
-        idx, sq = _packed_smallest_k(D, 9)
-        ref = _smallest_k(D, 9)
-        assert idx.tobytes() == ref.tobytes()
-        assert sq.tobytes() == np.take_along_axis(D, ref, axis=1).tobytes()
+        _assert_packed_matches(D, 9)
 
     def test_k_equals_n_minus_one(self):
         D = _masked_sq(_case("duplicate_rows", 4, n=12))
         idx, _ = _packed_smallest_k(D, 11)
         assert idx.tobytes() == _smallest_k(D, 11).tobytes()
+
+    @_SEEDS
+    @_KINDS
+    @_KS
+    def test_float64_matches_argpartition(self, seed, kind, k_of_n):
+        D = _masked_dist(_case(kind, seed))
+        _assert_packed_matches(D, k_of_n(D.shape[0]))
+
+    @pytest.mark.parametrize("k", [1, 7, 150, 299])
+    def test_float64_values_below_key_resolution(self, k):
+        # Values a few ulps apart share the value part of their float64
+        # keys: the head must be re-sorted by exact value, and a shared
+        # value part at the k-th boundary must fall back.
+        gen = np.random.default_rng(k)
+        D = 1.0 + gen.integers(0, 6, size=(300, 300)) * np.spacing(1.0)
+        np.fill_diagonal(D, np.inf)
+        _assert_packed_matches(D, k)
+
+
+class TestGramSymmetry:
+    """``KNNIndex.kneighbors`` reads ``0.5 * (D + D.T)`` as ``0.5 * (D + D)``.
+
+    That holds because NumPy computes a product of an array with its own
+    transpose by ``syrk`` and mirrors one triangle, so ``X @ X.T`` is
+    bitwise symmetric. A NumPy that stops doing so fails here first.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 198, 569, 600, 1000, 1205])
+    @pytest.mark.parametrize("d", [1, 2, 10, 21, 49, 70])
+    def test_gram_bitwise_symmetric(self, n, d):
+        X = np.random.default_rng(100 * n + d).normal(size=(n, d))
+        G = X @ X.T
+        assert G.tobytes() == np.ascontiguousarray(G.T).tobytes()
