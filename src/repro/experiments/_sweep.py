@@ -12,7 +12,7 @@ from collections.abc import Callable, Sequence
 
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.report import ExperimentReport
-from repro.pipeline.runner import GridRunner
+from repro.pipeline.parallel import run_grid_parallel
 
 __all__ = ["run_map_sweep"]
 
@@ -29,33 +29,19 @@ def run_map_sweep(
     One ASCII panel per dataset mirrors one subplot of the paper's figure:
     rows = explanation dimensionality, columns = ``explainer+detector``
     pipeline, cells = MAP. With ``profile.n_jobs > 1`` the
-    (dataset × detector) groups fan out over a process pool.
+    (dataset × detector) groups fan out over a worker pool; at 1 they run
+    in-process.
     """
     datasets = profile.all_datasets()
-    if profile.n_jobs > 1:
-        from repro.pipeline.parallel import run_grid_parallel
-
-        results, skipped, skipped_undefined, failed_cells = run_grid_parallel(
-            datasets,
-            profile.detectors(),
-            list(explainer_factories),
-            profile.explanation_dims,
-            n_jobs=profile.n_jobs,
-            backend=profile.backend,
-            points_selector=profile.select_points,
-        )
-    else:
-        runner = GridRunner(
-            profile.detectors(),
-            list(explainer_factories),
-            skip_errors=True,
-            points_selector=profile.select_points,
-            backend=profile.backend,
-        )
-        results = runner.run(datasets, profile.explanation_dims)
-        skipped = runner.skipped
-        skipped_undefined = runner.skipped_undefined
-        failed_cells = runner.failed_cells
+    results, skipped, skipped_undefined, failed_cells = run_grid_parallel(
+        datasets,
+        profile.detectors(),
+        list(explainer_factories),
+        profile.explanation_dims,
+        n_jobs=profile.n_jobs,
+        backend=profile.backend,
+        points_selector=profile.select_points,
+    )
 
     sections: list[str] = []
     rows: list[dict[str, object]] = []

@@ -68,7 +68,10 @@ class ExperimentProfile:
         Execution backend kind for the sweeps — ``"serial"``, ``"thread"``
         or ``"process"``, or ``None`` to resolve from the ``REPRO_BACKEND``
         environment variable (which is how the CLI's ``--backend`` flag
-        reaches the profile). All backends produce identical numbers.
+        reaches the profile). At ``n_jobs == 1`` it is the scorers'
+        backend (intra-cell parallelism); above that it is the pool the
+        (dataset × detector) groups fan out through (``None`` then means
+        ``"process"``). All backends produce identical numbers.
     seed:
         Seed for dataset generation and stochastic explainers.
     """

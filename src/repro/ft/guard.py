@@ -1,17 +1,18 @@
 """Retry, timeout, and error-classification guard around one grid cell.
 
-Both grid executors (:class:`~repro.pipeline.GridRunner` and
-:func:`~repro.pipeline.run_grid_parallel`) used to carry their own
-``try/except`` around cell execution; this module is the single shared
-implementation. One call — :func:`execute_cell` — wraps a cell body with:
+The grid executor behind :class:`~repro.pipeline.GridRunner` and
+:func:`~repro.pipeline.run_grid_parallel` runs every cell — inline or in
+a pool worker — through this guard. One call, :func:`execute_cell`,
+wraps a cell body with:
 
 * **fault injection** (the deterministic test seam of
   :mod:`repro.ft.faults`),
 * a **per-cell timeout** (:func:`call_with_timeout`),
 * **retry with exponential backoff** for *transient* failures
   (:func:`classify_error`), and
-* a uniform outcome triple so callers record results, retry-exhausted
-  failures, and fatal skips identically in serial and parallel paths.
+* one of three uniform outcomes (result, retry-exhausted failure, fatal
+  skip), which the executor's one absorb step journals, counts and
+  audits the same way however the grid was scheduled.
 
 Classification is deliberately conservative: only errors that plausibly
 succeed on retry — :class:`~repro.exceptions.TransientError` (which

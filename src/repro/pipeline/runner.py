@@ -2,15 +2,14 @@
 
 The paper's evaluation is a cross-product (Figure 7: 12 pipelines × 8
 datasets × explanation dimensionalities 2–5). :class:`GridRunner` executes
-such a grid with shared scorer caches per (dataset, detector) — the same
-amortisation the testbed relies on — and collects a
-:class:`~repro.pipeline.results.ResultTable`.
-
-Execution is fault-tolerant (see :mod:`repro.ft`): every cell runs under
-the shared retry/timeout/classification guard, completed cells stream
-into an optional checkpoint journal, and a resumed run replays journaled
-cells instead of recomputing them — the final table comes out in the same
-deterministic (dataset, dimensionality, pipeline) order either way.
+such a grid in-process with one warm scorer per (dataset, detector) — the
+same amortisation the testbed relies on — and collects a
+:class:`~repro.pipeline.results.ResultTable`. It is the in-process entry
+point of the one grid executor in :mod:`repro.pipeline.parallel`, so
+fault tolerance (see :mod:`repro.ft`), per-cell journaling, resume, the
+``repro_grid_cells_*`` metrics and the deterministic (dataset, detector,
+explainer, dimensionality) row order are exactly those of
+:func:`~repro.pipeline.run_grid_parallel`.
 """
 
 from __future__ import annotations
@@ -20,26 +19,14 @@ from collections.abc import Callable, Iterable, Sequence
 from repro.datasets.base import Dataset
 from repro.detectors.base import Detector
 from repro.exceptions import ExperimentError
-from repro.explainers.base import PointExplainer, SummaryExplainer
-from repro.ft import CheckpointJournal, FTConfig, cell_key, execute_cell, resolve_ft
-from repro.obs import metrics as obs_metrics
-from repro.obs.heartbeat import Heartbeat, heartbeat_from_env
-from repro.obs.trace import span as obs_span
+from repro.ft import FTConfig, resolve_ft
+from repro.pipeline.parallel import _run_grid
 from repro.pipeline.pipeline import ExplanationPipeline, PipelineResult
 from repro.pipeline.results import ResultTable
-from repro.serve.engine import ExplainEngine
 
 __all__ = ["GridRunner"]
 
-ExplainerLike = "PointExplainer | SummaryExplainer"
 ProgressHook = Callable[[PipelineResult], None]
-
-_CELLS_RUN = obs_metrics.counter(
-    "repro_grid_cells_total", "Grid cells executed to completion"
-)
-_CELLS_SKIPPED = obs_metrics.counter(
-    "repro_grid_cells_skipped_total", "Grid cells skipped, by reason"
-)
 
 
 class GridRunner:
@@ -52,7 +39,7 @@ class GridRunner:
     explainer_factories:
         Zero-argument callables producing fresh explainer instances —
         factories rather than instances so stateful explainers cannot leak
-        state across grid cells.
+        state across (dataset, detector) groups.
     on_result:
         Optional callback invoked after each cell (progress reporting).
         Also fires for cells replayed from a checkpoint journal, so
@@ -71,8 +58,8 @@ class GridRunner:
         points the ground truth defines at the dimensionality.
     backend:
         Execution backend (name, instance, or ``None`` for the
-        ``REPRO_BACKEND`` default) handed to every pipeline of the grid —
-        this is the *intra-cell* parallelism knob; see
+        ``REPRO_BACKEND`` default) of the grid's scorers — this is the
+        *intra-cell* parallelism knob; see
         :func:`~repro.pipeline.run_grid_parallel` for inter-cell fan-out.
     ft:
         Fault-tolerance configuration (checkpoint journal, retry budget,
@@ -80,14 +67,11 @@ class GridRunner:
         ``REPRO_CHECKPOINT`` / ``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT``
         / ``REPRO_FAULT_RATE`` environment variables — all inert by
         default, so a plain ``GridRunner(...)`` behaves exactly as before.
-    engine:
-        Warm-state layer shared by every pipeline of the grid. ``None``
-        (default) builds one :class:`~repro.serve.ExplainEngine` for the
-        runner, so all explainers paired with the same detector share one
-        warm scorer per dataset — cross-explainer amortisation the old
-        per-pipeline scorer dicts could not express. Pass an external
-        engine (e.g. the serve layer's) to share warm state beyond this
-        grid.
+
+    Each :meth:`run` draws every scorer from one
+    :class:`~repro.serve.ExplainEngine`, so all explainers paired with the
+    same detector share one warm scorer per dataset, and the detectors of
+    one dataset share its distance provider.
     """
 
     def __init__(
@@ -100,7 +84,6 @@ class GridRunner:
         points_selector: Callable[[Dataset, int], tuple[int, ...]] | None = None,
         backend: object = None,
         ft: FTConfig | None = None,
-        engine: ExplainEngine | None = None,
     ) -> None:
         if not detectors:
             raise ExperimentError("at least one detector is required")
@@ -127,27 +110,15 @@ class GridRunner:
         #: re-attempted on the next resumed run.
         self.failed_cells: list[tuple[str, str, str, int, str]] = []
         self.backend = backend
-        #: Live progress emitter, present only while :meth:`run` executes
-        #: with ``REPRO_HEARTBEAT_S`` set.
-        self._heartbeat: Heartbeat | None = None
-        #: Warm-state layer shared by every pipeline of the grid: one
-        #: scorer per (dataset fingerprint, detector) regardless of which
-        #: explainer runs, with byte-budgeted eviction.
-        self.engine = engine if engine is not None else ExplainEngine(backend=backend)
-        # One pipeline per (detector, factory) so explainer state stays
-        # per-cell while warm scorers persist in the shared engine.
-        self._pipelines = [
-            ExplanationPipeline(
-                detector, factory(), backend=backend, engine=self.engine  # type: ignore[arg-type]
-            )
-            for detector in self.detectors
-            for factory in self.explainer_factories
-        ]
 
     @property
     def pipelines(self) -> list[ExplanationPipeline]:
-        """All detector × explainer pipelines of the grid."""
-        return list(self._pipelines)
+        """All detector × explainer pipelines of the grid, built fresh per access."""
+        return [
+            ExplanationPipeline(detector, factory(), backend=self.backend)  # type: ignore[arg-type]
+            for detector in self.detectors
+            for factory in self.explainer_factories
+        ]
 
     def run(
         self,
@@ -176,132 +147,13 @@ class GridRunner:
             ft = ft.with_overrides(checkpoint=checkpoint)
         if resume is not None:
             ft = ft.with_overrides(resume=resume)
-        journal = (
-            CheckpointJournal(ft.checkpoint, resume=ft.resume)
-            if ft.checkpoint
-            else None
+        table, skipped, undefined, failed = _run_grid(
+            list(datasets), self.detectors, self.explainer_factories,
+            dimensionalities, n_jobs=1, backend=self.backend,
+            points_selector=self.points_selector, skip_errors=self.skip_errors,
+            ft=ft, on_result=self.on_result,
         )
-        if journal is not None:
-            # Fresh journal: stamp the run's provenance header. Resumed
-            # journal: shout about environment drift since the first run.
-            journal.ensure_manifest()
-
-        datasets = list(datasets)
-        self._heartbeat = heartbeat_from_env(
-            len(datasets) * len(dimensionalities) * len(self._pipelines)
-        )
-        table = ResultTable()
-        try:
-            with obs_span("grid.run", n_pipelines=len(self._pipelines)):
-                for dataset in datasets:
-                    available = set(dataset.ground_truth.dimensionalities())
-                    for dimensionality in dimensionalities:
-                        if dimensionality not in available:
-                            self._skip_undefined(
-                                dataset.name, dimensionality, "undefined_dimensionality"
-                            )
-                            continue
-                        points: tuple[int, ...] | None = None
-                        if self.points_selector is not None:
-                            points = self.points_selector(dataset, dimensionality)
-                            if not points:
-                                self._skip_undefined(
-                                    dataset.name, dimensionality, "empty_selection"
-                                )
-                                continue
-                        for pipeline in self._pipelines:
-                            result = self._run_cell(
-                                pipeline, dataset, dimensionality, points, ft, journal
-                            )
-                            if result is None:
-                                continue
-                            table.add(result)
-                            if self.on_result is not None:
-                                self.on_result(result)
-        finally:
-            if self._heartbeat is not None:
-                self._heartbeat.stop()
-                self._heartbeat = None
+        self.skipped.extend(skipped)
+        self.skipped_undefined.extend(undefined)
+        self.failed_cells.extend(failed)
         return table
-
-    def _run_cell(
-        self,
-        pipeline: ExplanationPipeline,
-        dataset: Dataset,
-        dimensionality: int,
-        points: tuple[int, ...] | None,
-        ft: FTConfig,
-        journal: CheckpointJournal | None,
-    ) -> PipelineResult | None:
-        """One guarded cell: journal replay, execution, audit routing."""
-        key = cell_key(
-            dataset.fingerprint,
-            pipeline.detector.name,
-            pipeline.explainer.name,
-            dimensionality,
-            points,
-        )
-        if journal is not None and key in journal:
-            if self._heartbeat is not None:
-                self._heartbeat.cells_done(1, replayed=1)
-            return journal.replay(key)
-        with obs_span(
-            "grid.cell",
-            dataset=dataset.name,
-            detector=pipeline.detector.name,
-            explainer=pipeline.explainer.name,
-            dimensionality=int(dimensionality),
-        ):
-            status, outcome = execute_cell(
-                lambda: pipeline.run(dataset, dimensionality, points=points),
-                key=key,
-                ft=ft,
-                skip_errors=self.skip_errors,
-            )
-        if status == "result":
-            _CELLS_RUN.inc()
-            if self._heartbeat is not None:
-                self._heartbeat.cells_done(1)
-            result: PipelineResult = outcome  # type: ignore[assignment]
-            if journal is not None:
-                journal.record_result(key, result)
-            return result
-        if self._heartbeat is not None:
-            self._heartbeat.cells_done(
-                1,
-                failed=1 if status == "failed" else 0,
-                skipped=0 if status == "failed" else 1,
-            )
-        record = (
-            dataset.name,
-            pipeline.detector.name,
-            pipeline.explainer.name,
-            dimensionality,
-            str(outcome),
-        )
-        if status == "failed":
-            _CELLS_SKIPPED.inc(reason="failed")
-            self.failed_cells.append(record)
-            if journal is not None:
-                journal.record_failure(
-                    key,
-                    {
-                        "dataset": dataset.name,
-                        "detector": pipeline.detector.name,
-                        "explainer": pipeline.explainer.name,
-                        "dimensionality": int(dimensionality),
-                        "error": str(outcome),
-                    },
-                )
-        else:  # fatal error, skip_errors=True
-            _CELLS_SKIPPED.inc(reason="error")
-            self.skipped.append(record)
-        return None
-
-    def _skip_undefined(self, dataset: str, dimensionality: int, reason: str) -> None:
-        """Record a never-attempted (dataset, dimensionality) slice."""
-        self.skipped_undefined.append((dataset, int(dimensionality), reason))
-        # One slice hides a whole row of pipeline cells from the grid.
-        _CELLS_SKIPPED.inc(len(self._pipelines), reason=reason)
-        if self._heartbeat is not None:
-            self._heartbeat.reduce_total(len(self._pipelines))

@@ -75,6 +75,15 @@ def test_zscores_shape_and_moments(x):
 @given(x=sample(min_size=3, max_size=30), scale=st.floats(0.1, 100), shift=finite_floats)
 def test_zscores_affine_invariant(x, scale, shift):
     assume(np.std(x) > 1e-6 * max(1.0, np.max(np.abs(x))))
+    # Conditioning. Forming scale * x + shift rounds each value by up to
+    # u = ulp(|shift| + scale * max|x|), and an error of u per value moves
+    # a z-score by at most (2 + sqrt(n)) * u / std(scale * x), under 8 u /
+    # std for n <= 30, plus a few u from the float64 mean and std. A
+    # spread of 1e8 u thus bounds |dz| near 1e-7, an order below atol.
+    # Below that no zscores can meet atol: the spread of 0.25 * [1e-5, 0,
+    # 0] is only 8.1e4 ulps of 65536, and the shift alone moves z by 8e-6.
+    spread = np.std(scale * x)
+    assume(spread > 1e8 * np.spacing(abs(shift) + scale * np.max(np.abs(x))))
     a = zscores(x)
     b = zscores(scale * x + shift)
     assert np.allclose(a, b, atol=1e-6)
