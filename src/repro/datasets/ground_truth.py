@@ -7,7 +7,8 @@ Two procedures mirror the paper:
   requested dimensionality, exhaustively score all subspaces with a
   detector (LOF in the paper) and keep the top-scored subspace(s) per
   outlier per dimensionality. Scores are standardised (z-scores) to avoid
-  dimensionality bias.
+  dimensionality bias. All dimensionalities are searched in one walk over
+  the subspace lattice.
 * :func:`top_outliers_per_subspace` — the HiCS association method: given
   known relevant subspaces, run the detector in each and associate the
   top-``k`` scoring points with it (the paper uses k = 5, matching the
@@ -21,6 +22,7 @@ Table 1 experiment.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.datasets.base import Dataset, GroundTruth
 from repro.detectors.base import Detector
 from repro.detectors.lof import LOF
 from repro.exceptions import GroundTruthError, ValidationError
-from repro.subspaces.enumeration import all_subspaces
+from repro.stats.zscore import zscores
 from repro.subspaces.scorer import SubspaceScorer
 from repro.subspaces.subspace import Subspace
 from repro.utils.validation import check_matrix, check_positive_int
@@ -50,46 +52,71 @@ def exhaustive_ground_truth(
 ) -> GroundTruth:
     """Exhaustively derive relevant subspaces per outlier per dimensionality.
 
-    For each requested dimensionality, every subspace is scored once for
-    all points in one :meth:`~repro.subspaces.SubspaceScorer.zscores_many`
-    batch, and each outlier keeps its ``top_per_dim``
-    best-z-scored subspaces. This is the paper's procedure for the real
-    datasets ("performing an exhaustive search from 2 up to 4 dimensions
-    using LOF and keeping the top scored subspace per outlier at the
-    corresponding dimension").
+    One walk over the subspace lattice
+    (:meth:`~repro.subspaces.SubspaceScorer.walk`) scores every subspace
+    of every requested dimensionality once for all points, and each
+    outlier keeps a running top ``top_per_dim`` per dimensionality:
+    higher z-score first, ties to the lexicographically smaller subspace.
+    This is the paper's procedure for the real datasets ("performing an
+    exhaustive search from 2 up to 4 dimensions using LOF and keeping the
+    top scored subspace per outlier at the corresponding dimension").
+
+    Every argument is validated before the search starts; repeated
+    outlier indices count once.
 
     Warning: the number of subspaces is :math:`\\binom{d}{m}` per
     dimensionality ``m`` — intractable for wide datasets. The experiment
     profiles bound ``d`` and ``dimensionalities`` accordingly.
     """
     X = check_matrix(X, name="X", min_rows=3)
-    outlier_list = [int(o) for o in outliers]
-    if not outlier_list:
+    n, d = X.shape
+    points = list(dict.fromkeys(int(o) for o in outliers))
+    if not points:
         raise ValidationError("outliers must not be empty")
+    out_of_range = [o for o in points if not 0 <= o < n]
+    if out_of_range:
+        raise ValidationError(
+            f"outlier indices {out_of_range} out of range for {n} points"
+        )
     top_per_dim = check_positive_int(top_per_dim, name="top_per_dim")
+    dims = {check_positive_int(m, name="dimensionality") for m in dimensionalities}
+    if dims and max(dims) > d:
+        raise ValidationError(
+            f"dimensionality {max(dims)} exceeds dataset width {d}"
+        )
     detector = detector if detector is not None else LOF(k=15)
-    scorer = SubspaceScorer(X, detector)
 
-    relevant: dict[int, list[Subspace]] = {o: [] for o in outlier_list}
-    for dim in dimensionalities:
-        dim = check_positive_int(dim, name="dimensionality")
-        if dim > X.shape[1]:
-            raise ValidationError(
-                f"dimensionality {dim} exceeds dataset width {X.shape[1]}"
-            )
-        best: dict[int, list[tuple[float, Subspace]]] = {
-            o: [] for o in outlier_list
-        }
-        # One batch per dimensionality: a single scorer wave instead of
-        # one lookup-and-dispatch round trip per subspace.
-        subspaces = list(all_subspaces(X.shape[1], dim))
-        for subspace, z in zip(subspaces, scorer.zscores_many(subspaces)):
-            for o in outlier_list:
-                best[o].append((float(z[o]), subspace))
-        for o in outlier_list:
-            ranked = sorted(best[o], key=lambda t: (-t[0], tuple(t[1])))
-            relevant[o].extend(s for _, s in ranked[:top_per_dim])
-    return GroundTruth(relevant)
+    # Per dimensionality and outlier: the kept (-z, subspace) keys in
+    # ascending order, and the z a subspace must reach to be compared
+    # with them (-inf until top_per_dim are kept).
+    kept: dict[int, list[list[tuple[float, tuple[int, ...]]]]] = {
+        m: [[] for _ in points] for m in dims
+    }
+    floor = {m: np.full(len(points), -np.inf) for m in dims}
+    rows = np.asarray(points)
+    scorer = SubspaceScorer(X, detector)
+    walk = scorer.walk(dims)
+    try:
+        for subspace, scores in walk:
+            z = zscores(scores)[rows]
+            m = len(subspace)
+            for i in np.flatnonzero(z >= floor[m]):
+                key = (-float(z[i]), subspace)
+                best = kept[m][i]
+                if len(best) == top_per_dim:
+                    if key > best[-1]:
+                        continue
+                    best.pop()
+                bisect.insort(best, key)
+                if len(best) == top_per_dim:
+                    floor[m][i] = -best[-1][0]
+    finally:
+        # Cancel the walk's queued tasks before the pool shuts down.
+        walk.close()
+        scorer.close()
+    return GroundTruth(
+        {o: [s for m in dims for _, s in kept[m][i]] for i, o in enumerate(points)}
+    )
 
 
 def top_outliers_per_subspace(

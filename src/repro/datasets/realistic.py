@@ -21,9 +21,12 @@ substitution table):
   (:func:`~repro.datasets.ground_truth.exhaustive_ground_truth`).
 
 The exhaustive search is the cost driver: :math:`\\binom{d}{m}` LOF runs
-per dimensionality ``m``. The experiment profiles therefore scale
-``n_features`` and the searched dimensionalities down for smoke runs while
-the ``paper`` profile keeps the published shapes.
+per dimensionality ``m``. One walk over the subspace lattice composes each
+subspace's distances from its parent's with one add, so the neighbour
+selection of every LOF run is most of what remains. The experiment
+profiles therefore scale ``n_features`` and the searched dimensionalities
+down for smoke runs while the ``paper`` profile keeps the published
+shapes.
 """
 
 from __future__ import annotations

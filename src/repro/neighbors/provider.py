@@ -36,6 +36,13 @@ so almost all of that work is redundant across candidate subspaces.
   :meth:`~DistanceProvider.squared_distances` callers (sketch anchors,
   the streaming detector's slid full-space matrix) cache composed
   matrices.
+* **Prefix-lattice walk.** An exhaustive search scores every subspace up
+  to some size. :meth:`DistanceProvider.walk` visits them depth first in
+  lexicographic order (:func:`prefix_walk`), so a node's parent is its
+  sorted prefix and was the last node visited one level up. Each child
+  is therefore one float32 add of its last block onto the parent's
+  matrix, written into a per-depth buffer; the buffers live outside the
+  LRU, and nothing the walk composes is cached.
 * **LRU byte budget.** Blocks, sketches and composed matrices share one
   byte-budgeted LRU cache (``REPRO_DIST_CACHE_MB``, default 256 MiB).
   Blocks and sketches — the values every later query builds on — live
@@ -70,7 +77,7 @@ import os
 import threading
 import weakref
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
 import numpy as np
@@ -89,6 +96,7 @@ __all__ = [
     "SKETCH_FACTOR_ENV",
     "DistanceProvider",
     "KNNQueryView",
+    "prefix_walk",
     "resolve_dist_cache_bytes",
     "resolve_sketch_factor",
     "shared_provider",
@@ -215,6 +223,43 @@ def _fingerprint(X: np.ndarray) -> int:
     return zlib.crc32(header + np.ascontiguousarray(X).tobytes())
 
 
+def _select(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour indices and distances from a composed squared-distance matrix."""
+    idx, sq = _packed_smallest_k(D, k)
+    return idx, np.sqrt(sq, out=sq)
+
+
+def prefix_walk(
+    n_features: int, first: int, max_dim: int
+) -> Iterator[tuple[int, ...]]:
+    """Sorted subspaces of at most ``max_dim`` features starting at ``first``.
+
+    Lexicographic order is a depth-first pre-order of the prefix lattice:
+    each subspace follows its sorted prefix, whose whole subtree comes
+    before the prefix's next sibling.
+
+    Examples
+    --------
+    >>> list(prefix_walk(4, 1, 2))
+    [(1,), (1, 2), (1, 3)]
+    >>> list(prefix_walk(4, 0, 3))[:5]
+    [(0,), (0, 1), (0, 1, 2), (0, 1, 3), (0, 2)]
+    """
+    if not 0 <= first < n_features:
+        raise ValidationError(
+            f"feature {first} out of range for {n_features} features"
+        )
+    if max_dim < 1:
+        raise ValidationError(f"max_dim must be at least 1, got {max_dim}")
+    stack = [(int(first),)]
+    while stack:
+        s = stack.pop()
+        yield s
+        if len(s) < max_dim:
+            # Pushed in reverse, so the smallest next feature pops first.
+            stack.extend(s + (f,) for f in range(n_features - 1, s[-1], -1))
+
+
 class DistanceProvider:
     """Lazily cached per-feature distance decomposition of one dataset.
 
@@ -329,6 +374,15 @@ class DistanceProvider:
         bits would vary with cache state.
         """
         return 1 <= len(tuple(features)) <= self.max_compose_dim
+
+    def _check_k(self, k: int) -> int:
+        k = int(k)
+        if not 1 <= k <= self.n_samples - 1:
+            raise ValidationError(
+                f"k={k} exceeds the number of available neighbours "
+                f"({self.n_samples - 1})"
+            )
+        return k
 
     @property
     def x_fingerprint(self) -> int:
@@ -496,6 +550,42 @@ class DistanceProvider:
             out += self.feature_block(feature)
         return out
 
+    def walk(
+        self, first: int, max_dim: int
+    ) -> Iterator[tuple[tuple[int, ...], np.ndarray | None]]:
+        """``(subspace, matrix)`` for each subspace :func:`prefix_walk` visits.
+
+        A node's parent is its sorted prefix, the last node visited one
+        level up, so its matrix is the parent's plus one float32 add of
+        its last block: the canonical chain, with the bits
+        :meth:`squared_distances` would return. Each depth owns one
+        ``(n, n)`` float32 buffer outside the LRU, so a walk holds at most
+        ``min(max_dim, max_compose_dim)`` of them, and a yielded
+        (read-only) matrix is valid only until the walk resumes. Nothing
+        is cached. Subspaces the provider does not cover (wider than
+        :attr:`max_compose_dim`) come with ``None``.
+        """
+        n = self.n_samples
+        depth_cap = min(int(max_dim), self.max_compose_dim)
+        buffers: list[np.ndarray] = []
+        views: list[np.ndarray] = []
+        for s in prefix_walk(self.n_features, first, max_dim):
+            depth = len(s) - 1
+            if depth >= depth_cap:
+                yield s, None
+                continue
+            if depth == len(buffers):
+                buffers.append(np.empty((n, n), dtype=np.float32))
+                views.append(buffers[-1].view())
+                views[-1].flags.writeable = False
+            out = buffers[depth]
+            if depth == 0:
+                np.copyto(out, self.feature_block(s[0]))
+                np.fill_diagonal(out, np.inf)
+            else:
+                np.add(buffers[depth - 1], self.feature_block(s[-1]), out=out)
+            yield s, views[depth]
+
     # ------------------------------------------------------------------
     # Sliding-window updates: add/evict rows without recomputing blocks.
     # ------------------------------------------------------------------
@@ -611,9 +701,15 @@ class DistanceProvider:
         features: Iterable[int],
         *,
         parent: Iterable[int] | None = None,
+        matrix: np.ndarray | None = None,
     ) -> "KNNQueryView":
-        """A neighbour-query view of one subspace bound to this provider."""
-        return KNNQueryView(self, tuple(features), parent)
+        """A neighbour-query view of one subspace bound to this provider.
+
+        ``matrix`` is the subspace's composed matrix when the caller
+        already holds it (a :meth:`walk` node); the view then selects
+        from it directly instead of querying :meth:`kneighbors`.
+        """
+        return KNNQueryView(self, tuple(features), parent, matrix)
 
     def kneighbors(
         self,
@@ -671,11 +767,7 @@ class DistanceProvider:
         """
         s = check_feature_indices(features, n_features=self.n_features)
         n = self.n_samples
-        k = int(k)
-        if not 1 <= k <= n - 1:
-            raise ValidationError(
-                f"k={k} exceeds the number of available neighbours ({n - 1})"
-            )
+        k = self._check_k(k)
         hint: tuple[int, ...] | None = None
         if parent is not None and len(s) >= 2:
             hint = check_feature_indices(parent, n_features=self.n_features)
@@ -701,8 +793,7 @@ class DistanceProvider:
             D = self._lookup_composed(s)
             if D is None:
                 D = self._compose(s, hint)
-            idx, sq = _packed_smallest_k(D, k)
-            return idx, np.sqrt(sq, out=sq)
+            return _select(D, k)
 
         self._count("knn_sketched")
         _KNN_QUERIES.inc(path="sketch")
@@ -995,20 +1086,24 @@ class KNNQueryView:
     single method :meth:`kneighbors` answering exact canonical k-NN for
     the bound subspace (see :meth:`DistanceProvider.kneighbors`). Holding
     the parent hint here keeps the detector API free of subspace-growth
-    concepts.
+    concepts. A view bound to a composed ``matrix`` (a
+    :meth:`DistanceProvider.walk` node) selects from it with the packed-key
+    selection of the provider's full path.
     """
 
-    __slots__ = ("_provider", "_features", "_parent")
+    __slots__ = ("_provider", "_features", "_parent", "_matrix")
 
     def __init__(
         self,
         provider: DistanceProvider,
         features: tuple[int, ...],
         parent: Iterable[int] | None = None,
+        matrix: np.ndarray | None = None,
     ) -> None:
         self._provider = provider
         self._features = features
         self._parent = tuple(parent) if parent is not None else None
+        self._matrix = matrix
 
     @property
     def n_samples(self) -> int:
@@ -1017,6 +1112,8 @@ class KNNQueryView:
 
     def kneighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Canonical k nearest non-self neighbours of every point."""
+        if self._matrix is not None:
+            return _select(self._matrix, self._provider._check_k(k))
         return self._provider.kneighbors(
             self._features, k, parent=self._parent
         )

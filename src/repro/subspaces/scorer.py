@@ -33,6 +33,11 @@ scores byte-identical across backends and cache states; with
 ``REPRO_DIST_CACHE_MB=0`` the substrate is off and every miss takes the
 direct-projection path.
 
+An exhaustive search, which scores every subspace once, calls
+:meth:`SubspaceScorer.walk` instead: one backend task per first feature
+walks the provider's prefix lattice, so each subspace's distances are
+its parent's plus one block, and no score vector is memoised.
+
 The z-score standardisation applied by :meth:`point_zscore` implements the
 paper's dimensionality-bias correction (Section 2.2):
 
@@ -43,20 +48,20 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Generator, Iterable, Sequence
 
 import numpy as np
 
 from repro.detectors.base import Detector
 from repro.exceptions import ValidationError
 from repro.exec import ExecutionBackend, resolve_backend
-from repro.neighbors.provider import DistanceProvider, shared_provider
+from repro.neighbors.provider import DistanceProvider, prefix_walk, shared_provider
 from repro.obs import metrics as obs_metrics
 from repro.shm import plane as _shm
 from repro.stats.zscore import zscores
 from repro.subspaces.subspace import Subspace, as_subspace, project
 from repro.utils.caching import LRUCache
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["SubspaceScorer"]
 
@@ -101,6 +106,37 @@ def _score_subspace_task(
         knn = provider.knn_view(features, parent=parent)
         return detector.score(project(X, features), knn=knn)
     return detector.score(project(X, features))
+
+
+def _walk_task(
+    payload: tuple[np.ndarray, Detector, "DistanceProvider | None"],
+    item: tuple[int, tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """One branch of the lattice walk: every subspace starting at ``first``.
+
+    ``item`` is ``(first, dimensionalities)``. Walks the branch in
+    lexicographic order up to the largest dimensionality and scores the
+    subspaces whose size was asked for: from the walk's composed matrix
+    when the provider covers the subspace, else by the direct path, the
+    same predicate :func:`_score_subspace_task` applies.
+    """
+    X, detector, provider = payload
+    first, dims = item
+    if provider is None:
+        walk = ((s, None) for s in prefix_walk(X.shape[1], first, dims[-1]))
+    else:
+        walk = provider.walk(first, dims[-1])
+    scored = []
+    for s, matrix in walk:
+        if len(s) not in dims:
+            continue
+        if matrix is None:
+            scores = detector.score(project(X, s))
+        else:
+            knn = provider.knn_view(s, matrix=matrix)  # type: ignore[union-attr]
+            scores = detector.score(project(X, s), knn=knn)
+        scored.append((s, scores))
+    return scored
 
 
 class SubspaceScorer:
@@ -207,7 +243,8 @@ class SubspaceScorer:
 
     @property
     def n_evaluations(self) -> int:
-        """How many detector invocations actually ran (cache misses)."""
+        """How many detector invocations actually ran (cache misses and
+        subspaces scored by :meth:`walk`)."""
         return self._n_evaluations
 
     @property
@@ -372,17 +409,46 @@ class SubspaceScorer:
                         out[extra] = scores if got is None else got
         return out  # type: ignore[return-value]
 
-    def zscores_many(
-        self,
-        subspaces: Sequence[Iterable[int]],
-        *,
-        parents: "Sequence[Iterable[int] | None] | None" = None,
-    ) -> list[np.ndarray]:
-        """Standardised score vectors for a batch of subspaces."""
-        return [
-            zscores(scores)
-            for scores in self.scores_many(subspaces, parents=parents)
-        ]
+    def walk(
+        self, dimensionalities: Iterable[int]
+    ) -> Generator[tuple[tuple[int, ...], np.ndarray], None, None]:
+        """Raw scores of every subspace whose size is in ``dimensionalities``.
+
+        One backend task per first feature walks that branch of the
+        subspace lattice (:meth:`DistanceProvider.walk
+        <repro.neighbors.DistanceProvider.walk>`) and returns its
+        ``(subspace, scores)`` pairs, which arrive branch by branch as
+        tasks complete, lexicographic within a branch. Each sorted
+        subspace appears once, with the bits :meth:`scores` would return,
+        but nothing is memoised and no lookup counts as a hit or a miss;
+        each counts in :attr:`n_evaluations` and
+        ``repro_scorer_subspaces_scored_total``. Dimensionalities are
+        validated before any task is dispatched.
+        """
+        dims = tuple(
+            sorted(
+                {check_positive_int(m, name="dimensionality") for m in dimensionalities}
+            )
+        )
+        if dims and dims[-1] > self.n_features:
+            raise ValidationError(
+                f"dimensionality {dims[-1]} exceeds dataset width {self.n_features}"
+            )
+        # A branch holds subspaces of at least dims[0] features only when
+        # enough features follow its first one.
+        firsts = range(self.n_features - dims[0] + 1) if dims else ()
+        return self._walk([(first, dims) for first in firsts])
+
+    def _walk(
+        self, items: list[tuple[int, tuple[int, ...]]]
+    ) -> Generator[tuple[tuple[int, ...], np.ndarray], None, None]:
+        for _, scored in self._backend.map_completed(
+            _walk_task, items, payload=self._payload
+        ):
+            with self._lock:
+                self._n_evaluations += len(scored)
+            _SUBSPACES_SCORED.inc(len(scored), detector=self.detector.name)
+            yield from scored
 
     def point_zscores_many(
         self,

@@ -13,14 +13,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.datasets import load_dataset
+from repro.datasets import GroundTruth, load_dataset
 from repro.detectors import LOF
 from repro.detectors.iforest import _Tree, average_path_length
+from repro.exceptions import ValidationError
 from repro.neighbors.distance import euclidean_pdist_matrix
 from repro.neighbors.knn import _smallest_k
 from repro.neighbors.provider import DistanceProvider
-from repro.subspaces import SubspaceScorer
-from repro.utils.validation import check_matrix
+from repro.stats.zscore import zscores
+from repro.subspaces import SubspaceScorer, all_subspaces
+from repro.utils.validation import check_matrix, check_positive_int
 
 
 @pytest.fixture(autouse=True)
@@ -213,6 +215,56 @@ def _choose_split(
 def reference_grow_tree():
     """The reference grower ``reference_grow_tree(S, height_limit, rng)``."""
     return _grow_tree
+
+
+def _reference_ground_truth(
+    X: np.ndarray,
+    outliers,
+    dimensionalities=(2, 3, 4),
+    detector=None,
+    top_per_dim: int = 1,
+) -> GroundTruth:
+    """Reference exhaustive ground truth: one scorer batch per dimensionality.
+
+    Scores every subspace of each dimensionality through
+    :meth:`SubspaceScorer.scores_many`, collects every outlier's z-score
+    per subspace and sorts that list by (higher z, lexicographically
+    smaller subspace). The production search walks the prefix lattice and
+    keeps a running top per outlier; on valid input with distinct
+    outliers it must keep these subspaces exactly.
+    """
+    X = check_matrix(X, name="X", min_rows=3)
+    outlier_list = [int(o) for o in outliers]
+    if not outlier_list:
+        raise ValidationError("outliers must not be empty")
+    top_per_dim = check_positive_int(top_per_dim, name="top_per_dim")
+    detector = detector if detector is not None else LOF(k=15)
+    scorer = SubspaceScorer(X, detector)
+
+    relevant: dict[int, list] = {o: [] for o in outlier_list}
+    for dim in dimensionalities:
+        dim = check_positive_int(dim, name="dimensionality")
+        if dim > X.shape[1]:
+            raise ValidationError(
+                f"dimensionality {dim} exceeds dataset width {X.shape[1]}"
+            )
+        best: dict[int, list] = {o: [] for o in outlier_list}
+        subspaces = list(all_subspaces(X.shape[1], dim))
+        z_batch = [zscores(v) for v in scorer.scores_many(subspaces)]
+        for subspace, z in zip(subspaces, z_batch):
+            for o in outlier_list:
+                best[o].append((float(z[o]), subspace))
+        for o in outlier_list:
+            ranked = sorted(best[o], key=lambda t: (-t[0], tuple(t[1])))
+            relevant[o].extend(s for _, s in ranked[:top_per_dim])
+    scorer.close()
+    return GroundTruth(relevant)
+
+
+@pytest.fixture(scope="session")
+def reference_ground_truth():
+    """The reference search ``reference_ground_truth(X, outliers, ...)``."""
+    return _reference_ground_truth
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from repro.neighbors.provider import (
     DIST_CACHE_MB_ENV,
     DistanceProvider,
     KNNQueryView,
+    prefix_walk,
     resolve_dist_cache_bytes,
     shared_provider,
 )
@@ -415,3 +416,55 @@ class TestTransientComposition:
         assert stats["blocks"] == sum(1 for key in keys if key[0] == "b")
         assert stats["composed"] == sum(1 for key in keys if key[0] == "c")
         assert stats["evictions"] > 0
+
+
+class TestPrefixWalk:
+    """The lattice walk: lexicographic order, canonical bits, no caching."""
+
+    def test_order_is_lexicographic_and_complete(self):
+        from itertools import combinations
+
+        walked = [s for first in range(6) for s in prefix_walk(6, first, 3)]
+        expected = sorted(
+            s for m in (1, 2, 3) for s in combinations(range(6), m)
+        )
+        assert walked == expected
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError):
+            list(prefix_walk(4, 4, 2))
+        with pytest.raises(ValidationError):
+            list(prefix_walk(4, 0, 0))
+
+    def test_matrices_are_the_canonical_chain(self, X):
+        reference = DistanceProvider(X, max_bytes=1 << 26)
+        provider = DistanceProvider(X, max_bytes=1 << 26)
+        for first in range(X.shape[1]):
+            bases = []
+            for s, matrix in provider.walk(first, 4):
+                assert not matrix.flags.writeable
+                want = reference.squared_distances(s)
+                assert matrix.tobytes() == want.tobytes(), s
+                bases.append(matrix.base)
+            # One buffer per depth the branch reaches, reused by its nodes.
+            assert len({id(b) for b in bases}) == min(4, X.shape[1] - first)
+        stats = provider.stats()
+        assert stats["composed"] == stats["composed_misses"] == 0
+        assert stats["knn_full"] == stats["knn_sketched"] == 0
+
+    def test_declines_uncovered_subspaces(self, X):
+        provider = DistanceProvider(X, max_bytes=1 << 24, max_compose_dim=2)
+        walked = dict(provider.walk(0, 3))
+        assert all((matrix is None) == (len(s) > 2) for s, matrix in walked.items())
+        assert len(walked) == 1 + 7 + 21
+
+    def test_view_selects_like_kneighbors(self, X):
+        provider = DistanceProvider(X, max_bytes=1 << 24)
+        for s, matrix in provider.walk(2, 3):
+            view = provider.knn_view(s, matrix=matrix)
+            got = view.kneighbors(7)
+            want = provider.kneighbors(s, 7)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        with pytest.raises(ValidationError):
+            view.kneighbors(X.shape[0])

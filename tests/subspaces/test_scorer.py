@@ -134,12 +134,6 @@ class TestBatchScoring:
         with pytest.raises(ValueError):
             batch[0][:] = 0.0
 
-    def test_zscores_many(self, scorer):
-        subspaces = [(0, 1), (2, 4)]
-        batch = scorer.zscores_many(subspaces)
-        for subspace, z in zip(subspaces, batch):
-            assert np.allclose(z, scorer.zscores(subspace))
-
     def test_point_zscores_many(self, scorer):
         subspaces = [(0, 1), (2, 4), (3,)]
         z = scorer.point_zscores_many(subspaces, 0)
@@ -189,3 +183,49 @@ class TestBackendDispatch:
         assert scorer.backend.name == "thread"
         scorer.scores_many([(0, 1)])
         scorer.close()
+
+
+class TestWalk:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("provider", [None, False])
+    def test_scores_every_subspace_once(
+        self, subspace_outlier_data, backend, provider
+    ):
+        from itertools import combinations
+
+        from repro.exec import resolve_backend
+
+        X, _, _ = subspace_outlier_data
+        reference = SubspaceScorer(X, LOF(k=10), distance_provider=provider)
+        subject = SubspaceScorer(
+            X,
+            LOF(k=10),
+            backend=resolve_backend(backend, n_jobs=2),
+            distance_provider=provider,
+        )
+        walked = list(subject.walk((3, 1)))
+        subject.close()
+        expected = [s for m in (1, 3) for s in combinations(range(6), m)]
+        assert sorted(s for s, _ in walked) == sorted(expected)
+        for s, scores in walked:
+            assert scores.tobytes() == reference.scores(s).tobytes(), s
+
+    def test_caches_nothing_and_counts_evaluations(self, scorer):
+        from repro.obs import metrics as obs_metrics
+
+        scored = obs_metrics.counter("repro_scorer_subspaces_scored_total")
+        before = scored.value(detector="lof")
+        assert len(list(scorer.walk((2,)))) == 15
+        assert scored.value(detector="lof") - before == 15
+        assert scorer.n_evaluations == 15
+        stats = scorer.cache_stats
+        assert stats["hits"] == stats["misses"] == 0
+        assert scorer.export_cache() == []
+
+    def test_validates_before_dispatch(self, scorer):
+        with pytest.raises(ValidationError, match="exceeds dataset width"):
+            scorer.walk((2, 7))
+        with pytest.raises(ValidationError):
+            scorer.walk((0,))
+        assert list(scorer.walk(())) == []
+        assert scorer.n_evaluations == 0
